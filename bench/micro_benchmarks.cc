@@ -240,23 +240,12 @@ Table CategoricalTable() {
 }
 
 // Decode-cache configurations, serial sampling: Arg(0) = cache off
-// (reference), Arg(1) = kExactReplay (bitwise-identical output), Arg(2) =
-// kAlias (O(1) hit draws). rows/sec lands in items_per_second for
-// scripts/bench_compare.py.
+// (reference), Arg(1) = cache on (bitwise-identical output). rows/sec
+// lands in items_per_second for scripts/bench_compare.py.
 void BM_SampleRows_Cached(benchmark::State& state) {
   Table train = CategoricalTable();
   GreatSynthesizer::Options options;
-  switch (state.range(0)) {
-    case 0:
-      options.decode_cache.enabled = false;
-      break;
-    case 1:
-      options.decode_cache.mode = DecodeMode::kExactReplay;
-      break;
-    default:
-      options.decode_cache.mode = DecodeMode::kAlias;
-      break;
-  }
+  if (state.range(0) == 0) options.decode_cache.enabled = false;
   GreatSynthesizer synth(options);
   Rng rng(1);
   if (!synth.Fit(train, &rng).ok()) state.SkipWithError("fit failed");
@@ -271,13 +260,12 @@ void BM_SampleRows_Cached(benchmark::State& state) {
 BENCHMARK(BM_SampleRows_Cached)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Neural-backbone variant: here the per-draw model cost (hidden pass +
 // candidate logits) dominates row sampling, so cache hits — which skip the
 // model entirely — carry the headline speedup. Arg(0) = cache off,
-// Arg(1) = kExactReplay (output bitwise-identical to Arg(0)).
+// Arg(1) = cache on (output bitwise-identical to Arg(0)).
 void BM_SampleRowsNeural_Cached(benchmark::State& state) {
   Table train = CategoricalTable();
   GreatSynthesizer::Options options;
@@ -307,14 +295,15 @@ BENCHMARK(BM_SampleRowsNeural_Cached)
 // "Batched columnar decode"); what changes is cost — lanes sharing a
 // (context, allow-list) group pay one restricted model evaluation per
 // step instead of one per lane. The decode cache is off here so the
-// benchmark isolates that in-batch sharing: with kExactReplay enabled a
+// benchmark isolates that in-batch sharing: with the cache enabled a
 // hit's key-pack-and-probe costs about what the batch engine's group-key
 // work does, so the cached configurations are cost-equivalent at every
 // batch size (BM_SampleRows_Cached covers them) — the batched engine's
-// win is exactly the regime the cache cannot memoize. Arg(1) is the
-// per-row baseline the bench_compare.py --fail-batch-speedup-below gate
-// divides by, and the synth.batch.model_evals_saved counter proves the
-// win comes from grouped evaluation. rows/sec lands in items_per_second.
+// win is exactly the regime the cache cannot memoize. Arg(1), one-row
+// chunks, is the baseline the bench_compare.py --fail-batch-speedup-below
+// gate divides by, and the synth.batch.model_evals_saved counter proves
+// the win comes from grouped evaluation. rows/sec lands in
+// items_per_second.
 void BM_SampleRowsBatched(benchmark::State& state) {
   Table train = CategoricalTable();
   GreatSynthesizer::Options options;

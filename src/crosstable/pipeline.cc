@@ -528,7 +528,7 @@ Result<PipelineResult> MultiTablePipeline::Run(
     w.PutU64(options_.batch_rows);
     w.PutBool(options_.decode_cache.enabled);
     w.PutU64(options_.decode_cache.capacity);
-    w.PutU8(static_cast<uint8_t>(options_.decode_cache.mode));
+    w.PutU8(0);  // retired decode-mode byte; keeps old checkpoints warm
     w.PutBool(options_.decode_cache.cache_hidden_states);
     w.PutU64(options_.decode_cache.hidden_capacity);
     w.PutU64(options_.num_synthetic_parents);

@@ -75,8 +75,8 @@ struct PipelineOptions {
   /// decode"), so this is purely a throughput knob.
   size_t batch_rows = 0;
   /// Decode-time distribution cache applied to every synthesizer the run
-  /// builds (parent and child). Defaults to enabled in kExactReplay mode,
-  /// which is bitwise-identical to running without a cache.
+  /// builds (parent and child). Defaults to enabled, which is
+  /// bitwise-identical to running without a cache.
   DecodeCacheOptions decode_cache;
   /// Synthetic subject count; 0 -> match the training subject count.
   size_t num_synthetic_parents = 0;

@@ -233,9 +233,11 @@ Result<DigixDataset> DigixGenerator::Generate(Rng* rng) const {
       int64_t i_refresh = Mixed(
           rng, focus(user), static_cast<int64_t>(user.interest) % 6 + 1, 6);
       int64_t e_ch = rng->UniformInt(1, 4);        // independent
+      // focus(user) + 0.2 can exceed 1; Bernoulli requires p <= 1.
       const auto& pool =
-          history_pool[rng->Bernoulli(focus(user) + 0.2) ? user.interest
-                                           : rng->Index(kNumInterests)];
+          history_pool[rng->Bernoulli(std::min(1.0, focus(user) + 0.2))
+                           ? user.interest
+                           : rng->Index(kNumInterests)];
       std::string his_cat_seq = pool[rng->Index(pool.size())];
 
       Row row = {Value(user.user_id), Value(user.refresh),

@@ -152,8 +152,7 @@ bool DecodeCache::PackContext(const TokenSequence& context, size_t limit,
 }
 
 size_t DecodeCache::EntryBytes(const Entry& entry) const {
-  return sizeof(Entry) + entry.cdf.capacity() * sizeof(double) +
-         entry.alias.MemoryBytes();
+  return sizeof(Entry) + entry.cdf.capacity() * sizeof(double);
 }
 
 DecodeCache::Entry& DecodeCache::Insert(const Key& key,
@@ -188,23 +187,15 @@ DecodeCache::Entry& DecodeCache::Insert(const Key& key,
   entry.key = key;
   entry.referenced = 0;
   // The cumulative table replays Rng::Categorical's left-to-right running
-  // sum bit for bit; the alias table is the O(1) kernel. Build only what
-  // the configured mode draws from.
+  // sum bit for bit.
   entry.cdf.clear();
-  entry.alias = AliasTable();
+  entry.cdf.reserve(weights.size());
   double cum = 0.0;
-  if (options_.mode == DecodeMode::kExactReplay) {
-    entry.cdf.reserve(weights.size());
-    for (double w : weights) {
-      cum += w;
-      entry.cdf.push_back(cum);
-    }
-    entry.total = cum;
-  } else {
-    for (double w : weights) cum += w;
-    entry.total = cum;
-    if (entry.total > 0.0) entry.alias.Build(weights, entry.total);
+  for (double w : weights) {
+    cum += w;
+    entry.cdf.push_back(cum);
   }
+  entry.total = cum;
   size_t added = EntryBytes(entry);
   bytes_ += added;
   GetCacheCounters().bytes->Add(static_cast<double>(added));
@@ -221,20 +212,15 @@ TokenId DecodeCache::Draw(const Entry& entry,
     if (!candidates.empty()) return candidates[rng->Index(candidates.size())];
     return Vocabulary::kEosId;
   }
-  if (options_.mode == DecodeMode::kExactReplay) {
-    assert(entry.cdf.size() == candidates.size());
-    // target < cum_i selects the same bucket (and consumes the same single
-    // uniform) as the linear scan in Rng::Categorical.
-    double target = rng->Uniform() * entry.total;
-    auto it =
-        std::upper_bound(entry.cdf.begin(), entry.cdf.end(), target);
-    size_t idx = it == entry.cdf.end()
-                     ? entry.cdf.size() - 1  // numerical slack, as uncached
-                     : static_cast<size_t>(it - entry.cdf.begin());
-    return candidates[idx];
-  }
-  assert(entry.alias.size() == candidates.size());
-  return candidates[entry.alias.Sample(rng)];
+  assert(entry.cdf.size() == candidates.size());
+  // target < cum_i selects the same bucket (and consumes the same single
+  // uniform) as the linear scan in Rng::Categorical.
+  double target = rng->Uniform() * entry.total;
+  auto it = std::upper_bound(entry.cdf.begin(), entry.cdf.end(), target);
+  size_t idx = it == entry.cdf.end()
+                   ? entry.cdf.size() - 1  // numerical slack, as uncached
+                   : static_cast<size_t>(it - entry.cdf.begin());
+  return candidates[idx];
 }
 
 AllowListId DecodeCache::InternTransient(
@@ -306,26 +292,19 @@ void DecodeCache::DrawResolvedMany(const ResolvedDist& dist,
     }
     return;
   }
-  if (options_.mode == DecodeMode::kExactReplay) {
-    assert(entry.cdf.size() == candidates.size());
-    // Uniform pass first (each lane's single stream advance, exactly as
-    // Draw), then the shared-cdf binary searches back to back.
-    if (scratch->size() < count) scratch->resize(count);
-    size_t* idx = scratch->data();
-    for (size_t k = 0; k < count; ++k) {
-      double target = rngs[k]->Uniform() * entry.total;
-      auto it = std::upper_bound(entry.cdf.begin(), entry.cdf.end(), target);
-      idx[k] = it == entry.cdf.end()
-                   ? entry.cdf.size() - 1  // numerical slack, as uncached
-                   : static_cast<size_t>(it - entry.cdf.begin());
-    }
-    for (size_t k = 0; k < count; ++k) out[k] = candidates[idx[k]];
-    return;
-  }
-  assert(entry.alias.size() == candidates.size());
+  assert(entry.cdf.size() == candidates.size());
+  // Each lane consumes its single uniform exactly as Draw does; indices are
+  // staged, then mapped to candidate tokens in one sweep.
   if (scratch->size() < count) scratch->resize(count);
-  entry.alias.SampleMany(rngs, count, scratch->data());
-  for (size_t k = 0; k < count; ++k) out[k] = candidates[(*scratch)[k]];
+  size_t* idx = scratch->data();
+  for (size_t k = 0; k < count; ++k) {
+    double target = rngs[k]->Uniform() * entry.total;
+    auto it = std::upper_bound(entry.cdf.begin(), entry.cdf.end(), target);
+    idx[k] = it == entry.cdf.end()
+                 ? entry.cdf.size() - 1  // numerical slack, as uncached
+                 : static_cast<size_t>(it - entry.cdf.begin());
+  }
+  for (size_t k = 0; k < count; ++k) out[k] = candidates[idx[k]];
 }
 
 TokenId DecodeCache::SampleRestricted(const LanguageModel& lm,

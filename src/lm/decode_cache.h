@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "lm/alias_table.h"
 #include "lm/language_model.h"
 
 namespace greater {
@@ -20,21 +19,9 @@ using AllowListId = uint32_t;
 /// "No interned id": the draw bypasses the distribution cache.
 inline constexpr AllowListId kNoAllowList = 0xffffffffu;
 
-/// How a DecodeCache turns a cached distribution into a token.
-enum class DecodeMode {
-  /// Draws via the cached cumulative table with the exact uniform-draw
-  /// scheme of Rng::Categorical, so cached sampling is bitwise-identical
-  /// to the uncached path (same tokens, same Rng stream advance). O(log K)
-  /// per hit. This is the default: determinism contracts stay intact.
-  kExactReplay,
-  /// Draws via the prebuilt Vose alias table: O(1) per hit, identical
-  /// *distribution*, but a different uniform-consumption pattern — output
-  /// is deterministic per seed yet not byte-identical to cache-off runs.
-  kAlias,
-};
-
 /// Configuration surface for the per-sampler decode cache (exposed on
-/// GreatSynthesizer::Options and PipelineOptions).
+/// GreatSynthesizer::Options and PipelineOptions). Every cached draw
+/// replays Rng::Categorical exactly, so no setting here changes output.
 struct DecodeCacheOptions {
   /// Master switch. Off = every draw recomputes the distribution (the
   /// pre-cache reference behaviour).
@@ -42,7 +29,6 @@ struct DecodeCacheOptions {
   /// Maximum distribution entries per cache (second-chance eviction above
   /// this bound).
   size_t capacity = 4096;
-  DecodeMode mode = DecodeMode::kExactReplay;
   /// Neural backbone only: memoize context-window -> hidden-layer vectors
   /// so repeated windows pay the O(h*W) embedding pass once.
   bool cache_hidden_states = true;
@@ -136,19 +122,19 @@ struct DecodeWorkspace {
 /// suffix, allow-list id, temperature). One instance per sampling worker —
 /// never shared across threads — with bounded second-chance eviction.
 ///
-/// Each entry stores the temperature-shaped candidate weights as either a
-/// cumulative table (kExactReplay) or a Vose alias table (kAlias), so a
-/// repeat draw costs a key pack + hash lookup + O(log K) / O(1) draw
-/// instead of the model's full interpolation or output-layer pass. The
-/// context part of the key covers exactly the suffix the model conditions
-/// on (LanguageModel::context_dependence), which is what makes encoded
-/// rows that share templates hit the cache thousands of times per run.
+/// Each entry stores the temperature-shaped candidate weights as a
+/// cumulative table, so a repeat draw costs a key pack + hash lookup +
+/// O(log K) draw instead of the model's full interpolation or output-layer
+/// pass. The context part of the key covers exactly the suffix the model
+/// conditions on (LanguageModel::context_dependence), which is what makes
+/// encoded rows that share templates hit the cache thousands of times per
+/// run.
 ///
-/// Determinism: in kExactReplay mode every draw is bitwise-identical to
-/// LanguageModel::SampleNext with the same arguments, including Rng stream
-/// advance (golden-tested). Counters lm.cache.{hits,misses,evictions} and
-/// the lm.cache.bytes gauge track the global registry; per-instance
-/// LocalStats back unit tests without registry coupling.
+/// Determinism: every draw is bitwise-identical to LanguageModel::SampleNext
+/// with the same arguments, including Rng stream advance (golden-tested).
+/// Counters lm.cache.{hits,misses,evictions} and the lm.cache.bytes gauge
+/// track the global registry; per-instance LocalStats back unit tests
+/// without registry coupling.
 class DecodeCache {
  public:
   struct LocalStats {
@@ -212,11 +198,9 @@ class DecodeCache {
   /// the token DrawResolved(dist, candidates, rngs[k]) would return, with
   /// each rng advancing identically — every lane draws only from its own
   /// stream, so the grouped draw is bitwise-equal to the per-lane loop at
-  /// any group size. In kAlias mode the draws run through
-  /// AliasTable::SampleMany (one bucket sweep, one acceptance sweep);
-  /// kExactReplay splits the uniform pass from the shared-cdf search the
-  /// same way. `scratch` stages alias indices and is only grown, never
-  /// shrunk, so a reserved buffer makes the steady state allocation-free.
+  /// any group size. `scratch` stages the drawn indices and is only grown,
+  /// never shrunk, so a reserved buffer makes the steady state
+  /// allocation-free.
   void DrawResolvedMany(const ResolvedDist& dist,
                         const std::vector<TokenId>& candidates,
                         Rng* const* rngs, size_t count, TokenId* out,
@@ -247,9 +231,8 @@ class DecodeCache {
   };
   struct Entry {
     Key key;
-    std::vector<double> cdf;  ///< kExactReplay: running weight sums
+    std::vector<double> cdf;  ///< running weight sums
     double total = 0.0;       ///< left-to-right weight sum (cdf.back())
-    AliasTable alias;         ///< kAlias: O(1) draw kernel
     uint8_t referenced = 0;   ///< second-chance bit
   };
   struct TransientHash {

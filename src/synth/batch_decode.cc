@@ -146,9 +146,9 @@ void BatchDecodeEngine::PrepareLanes() {
 void BatchDecodeEngine::StartLane(size_t lane) {
   const Table* conditions = lane_specs_[lane].conditions;
   ++rep(lane).rows_requested;
-  // Injected per-row failure, accounted exactly like the per-row decoder:
-  // kResourceExhausted counts as a natural exhaustion so lenient callers
-  // degrade gracefully and the report still reconciles.
+  // Injected per-row failure ("synth.sample_row"): kResourceExhausted
+  // counts as a natural exhaustion so lenient callers degrade gracefully
+  // and the report still reconciles.
   if (FaultRegistry::AnyArmed()) {
     Status fault = FaultRegistry::Global().Check("synth.sample_row");
     if (!fault.ok()) {
@@ -255,8 +255,8 @@ void BatchDecodeEngine::FinalizeAttempt(size_t lane) {
         if (attempt_[lane] + 1 == options.max_attempts_per_row &&
             options.fallback_to_constrained) {
           // Last resort: snap the cell to a uniformly drawn observed
-          // value, indexing the sorted pool with this lane's own stream —
-          // the same draw the per-row decoder makes.
+          // value, indexing the sorted pool with this lane's own stream
+          // (sorted, so picks map to values identically after Save/Load).
           const auto& pool = synth_.observed_values_[c].sorted;
           const std::string& snapped =
               pool[rng_[lane].Index(pool.size())];
@@ -366,8 +366,7 @@ void BatchDecodeEngine::ApplyToken(size_t lane, TokenId token) {
   ++value_len_[lane];
   if (value_len_[lane] >= GreatSynthesizer::kMaxValueTokens) {
     if (closed_[lane]) {
-      // Last column at the cap: the per-row decoder accepts the value as
-      // closed-by-eos, so the batched engine must as well.
+      // Last column at the cap: the value counts as closed by eos.
       CompleteValue(lane);
     } else {
       ++rep(lane).rejected_mid_row;
@@ -414,7 +413,7 @@ void BatchDecodeEngine::PrepareDraw(size_t lane) {
       allow_id_[lane] = entry->id;
     } else {
       // Wide-schema fallback (memo masks cap at 64 columns): lane-local
-      // remaining-name list, interned per draw as the per-row path does.
+      // remaining-name list, interned per draw.
       std::vector<TokenId>& names = lane_names_[lane];
       names.clear();
       const auto& columns = encoder.columns();
@@ -456,7 +455,7 @@ void BatchDecodeEngine::PrepareDraw(size_t lane) {
     return;
   }
   if (cache_ != nullptr && allow_id_[lane] == kNoAllowList) {
-    solo_[lane] = 1;  // transient namespace exhausted: match serial path
+    solo_[lane] = 1;  // transient namespace exhausted: uncached draw
     return;
   }
   solo_[lane] = 0;
@@ -509,8 +508,7 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
   CopyContext(rep);
 
   if (solo_[rep]) {
-    // Singleton group that could not be keyed: the reference per-lane
-    // call, token for token.
+    // Singleton group that could not be keyed: one plain per-lane draw.
     for (size_t k = first; k < last; ++k) {
       size_t lane = order_[k];
       if (k != first) CopyContext(lane);
@@ -535,10 +533,9 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
         decode_);
     if (dist.cacheable) {
       // Vectorized group draw: gather the group's lane streams, draw them
-      // all against the one resolved entry (alias draws become two table
-      // sweeps instead of an interleaved per-lane walk), then scatter the
-      // tokens back. Lanes of one group share an allow-list identity, so
-      // the representative's candidate list serves every member; each lane
+      // all against the one resolved entry, then scatter the tokens back.
+      // Lanes of one group share an allow-list identity, so the
+      // representative's candidate list serves every member; each lane
       // still consumes only its own stream, bitwise as DrawResolved.
       const size_t count = last - first;
       group_rngs_.clear();
@@ -554,7 +551,7 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
       return;
     }
     // Unreachable by construction (PrepareDraw pre-screens the key), but
-    // degrade to the reference per-lane path rather than asserting.
+    // degrade to plain per-lane draws rather than asserting.
     for (size_t k = first; k < last; ++k) {
       size_t lane = order_[k];
       CopyContext(lane);

@@ -17,25 +17,27 @@
 
 namespace greater {
 
-/// Lockstep batched row decoder: advances a chunk of in-flight rows
-/// ("lanes") one token step at a time, grouping lanes whose next draw is
+/// The row decoder: GReaT's constrained row-wise sampling, run in lockstep
+/// over a chunk of in-flight rows ("lanes"). Every Sample* call, SampleRow,
+/// chunked CSV emission and the serving layer decode through it. Each step
+/// advances every lane by one token, grouping lanes whose next draw is
 /// governed by the same (context-window, allow-list, temperature) key so
-/// each distinct group costs exactly one restricted model evaluation —
-/// the PR 4 decode cache's memoized sharing made explicit within a batch.
+/// each distinct group costs exactly one restricted model evaluation — the
+/// decode cache's memoized sharing made explicit within a chunk.
 ///
 /// State is structure-of-arrays: per-lane context windows live as
 /// fixed-stride slices of one token arena (sized once per chunk, reused
 /// across chunks), and cursors / attempt counters / done flags are
 /// parallel vectors indexed by lane. Each lane owns the Rng stream
 /// derived for its global row index (Rng::DeriveStreamSeed(base, row)),
-/// and every draw consumes only that lane's stream, so the batched output
-/// is bitwise-identical to running GreatSynthesizer's per-row reference
-/// decoder over the same row indices — for any chunk size, both LM
-/// backbones, cache on or off, conditional or not.
+/// and every draw consumes only that lane's stream, so output is
+/// bitwise-identical at any chunk size — and to an uncached one-row-at-a-
+/// time decoder (tests/reference_decoder) — for both LM backbones, cache
+/// on or off, conditional or not.
 ///
 /// One engine per sampling worker (it is as thread-compatible as the
 /// DecodeCache it borrows): GreatSynthesizer keeps one in each
-/// SamplerWorkspace when Options::batch_rows > 1.
+/// SamplerWorkspace, with Options::batch_rows as the chunk size.
 class BatchDecodeEngine {
  public:
   /// Per-run aggregate of the synth.batch.* metrics, kept locally so
@@ -70,8 +72,8 @@ class BatchDecodeEngine {
   /// Lockstep-decodes an arbitrary lane set, appending one Result<Row> per
   /// lane (in lane order) to `out`. `cache` may be null (uncached grouped
   /// evaluation); `decode` provides the model scratch buffers. Per-lane
-  /// accounting lands in each lane's own report with the same counts, row
-  /// by row, as the reference decoder.
+  /// accounting lands in each lane's own report, row by row, with the
+  /// same counts at any chunk size.
   void RunLanes(const LaneRequest* lanes, size_t count, DecodeCache* cache,
                 DecodeWorkspace* decode, uint64_t parent_span,
                 std::vector<Result<Row>>* out);
@@ -79,8 +81,8 @@ class BatchDecodeEngine {
   /// Samples rows [begin, end) of the surrounding Sample/SampleConditional
   /// call in lockstep, appending one Result<Row> per row (in row order) to
   /// `out`. Lane i draws from Rng(Rng::DeriveStreamSeed(base, begin + i)).
-  /// `conditions`, when non-null, forces row i's condition columns exactly
-  /// as the per-row path does. Thin wrapper over RunLanes: one lane per
+  /// `conditions`, when non-null, forces row i's condition columns to
+  /// conditions row begin + i. Thin wrapper over RunLanes: one lane per
   /// row, all lanes sharing the call's base, conditions, and report.
   void RunChunk(size_t begin, size_t end, const Table* conditions,
                 uint64_t base, DecodeCache* cache, DecodeWorkspace* decode,
@@ -131,8 +133,8 @@ class BatchDecodeEngine {
   /// exhausts the lane.
   void FailAttempt(size_t lane, Status error);
   void FinishLane(size_t lane, Status status);
-  /// Applies a drawn token to the lane per the reference decoder's
-  /// transition rules.
+  /// Applies a drawn token to the lane: name selection, value append, or
+  /// value close.
   void ApplyToken(size_t lane, TokenId token);
   /// Marks the current column's value complete and moves on (next column
   /// or attempt finalization).
@@ -238,7 +240,7 @@ class BatchDecodeEngine {
   std::vector<double> cdf_;
   /// Vectorized cached-group draw scratch (DrawResolvedMany): the group's
   /// lane streams gathered contiguously, the tokens drawn for them, and
-  /// the alias-index staging buffer. Reserved to the whole-batch worst
+  /// the drawn-index staging buffer. Reserved to the whole-batch worst
   /// case in PrepareLanes, so steady-state steps allocate nothing.
   std::vector<Rng*> group_rngs_;
   std::vector<TokenId> group_tokens_;

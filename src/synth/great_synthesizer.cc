@@ -1,23 +1,17 @@
 #include "synth/great_synthesizer.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/artifact_io.h"
 #include "common/fault.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "synth/batch_decode.h"
 #include "tabular/table_builder.h"
 
 namespace greater {
 namespace {
-
-Histogram& RowLatencyHistogram() {
-  static Histogram* histogram =
-      &MetricsRegistry::Global().GetLatencyHistogram("synth.sample_row_us");
-  return *histogram;
-}
 
 // Inserts `id` into a strictly ascending list, keeping it sorted and
 // deduplicated — the same insert-if-absent the sampler used to run per
@@ -290,8 +284,8 @@ void GreatSynthesizer::InitWorkspace(SamplerWorkspace* ws) const {
   if (options_.decode_cache.enabled && ws->cache == nullptr) {
     ws->cache = std::make_unique<DecodeCache>(options_.decode_cache);
   }
-  if (options_.batch_rows > 1 && ws->batch == nullptr) {
-    ws->batch = std::make_unique<BatchDecodeEngine>(*this);
+  if (ws->engine == nullptr) {
+    ws->engine = std::make_unique<BatchDecodeEngine>(*this);
   }
   ws->decode.hidden_cache.set_capacity(
       options_.decode_cache.cache_hidden_states
@@ -299,225 +293,30 @@ void GreatSynthesizer::InitWorkspace(SamplerWorkspace* ws) const {
           : 0);
 }
 
-TokenId GreatSynthesizer::SampleToken(const TokenSequence& context,
-                                      const std::vector<TokenId>& allowed,
-                                      AllowListId allow_id, Rng* rng,
-                                      SamplerWorkspace* ws) const {
-  if (ws->cache != nullptr) {
-    return ws->cache->SampleRestricted(*lm_, context, allowed, allow_id,
-                                       options_.temperature, rng,
-                                       &ws->decode);
-  }
-  return lm_->SampleNext(context, rng, options_.temperature, &allowed,
-                         &ws->decode);
-}
-
 Result<Row> GreatSynthesizer::SampleRow(
     Rng* rng, const std::map<std::string, Value>* forced) const {
   if (!fitted()) {
     return Status::FailedPrecondition("SampleRow before Fit");
   }
-  InitWorkspace(&serial_ws_);
-  SampleReport before = stats_;
-  Result<Row> row =
-      SampleRowImpl(rng, forced, &serial_ws_, &stats_, Span::CurrentId());
-  stats_.DeltaSince(before).ExportToMetrics();
-  return row;
-}
-
-Result<Row> GreatSynthesizer::SampleRowImpl(
-    Rng* rng, const std::map<std::string, Value>* forced,
-    SamplerWorkspace* ws, SampleReport* stats,
-    uint64_t parent_span_id) const {
-  Span row_span("synth.row", parent_span_id);
-  ScopedTimer row_timer(&RowLatencyHistogram());
-  ++stats->rows_requested;
-  // Injected per-row failure ("synth.sample_row"): accounted like a
-  // natural exhaustion when it carries kResourceExhausted, so lenient
-  // callers degrade gracefully and the report still reconciles.
-  if (FaultRegistry::AnyArmed()) {
-    Status fault = FaultRegistry::Global().Check("synth.sample_row");
-    if (!fault.ok()) {
-      ++stats->injected_faults;
-      if (fault.code() == StatusCode::kResourceExhausted) {
-        ++stats->rows_exhausted;
-      }
-      return fault;
-    }
-  }
-  const auto& columns = encoder_->columns();
-  const Schema& schema = encoder_->schema();
-
-  // Resolve forced columns once.
-  ws->forced_index.assign(columns.size(), -1);
-  ws->forced_values.clear();
-  std::vector<int>& forced_index = ws->forced_index;
-  std::vector<Value>& forced_values = ws->forced_values;
-  if (forced != nullptr) {
+  // A chunk of one: row 0 of SampleConditional over a one-row table of the
+  // forced values (or of Sample(1) when nothing is forced). Strict, so an
+  // exhausted row comes back as its error rather than as an empty table.
+  std::optional<Table> conditions;
+  if (forced != nullptr && !forced->empty()) {
+    std::vector<Field> fields;
+    Row row;
     for (const auto& [name, value] : *forced) {
-      GREATER_ASSIGN_OR_RETURN(size_t idx, schema.FieldIndex(name));
-      forced_index[idx] = static_cast<int>(forced_values.size());
-      forced_values.push_back(value);
+      fields.emplace_back(name, value.type());
+      row.push_back(value);
     }
+    conditions.emplace(Schema(std::move(fields)));
+    GREATER_RETURN_NOT_OK(conditions->AppendRow(std::move(row)));
   }
-
-  Status last_error = Status::OK();
-  for (size_t attempt = 0; attempt < options_.max_attempts_per_row;
-       ++attempt) {
-    ++stats->attempts;
-    // In free-value mode the last attempt falls back to the tight grammar
-    // so the Sample call cannot die on an unlucky row.
-    bool constrain = options_.constrain_values_to_column ||
-                     (options_.fallback_to_constrained &&
-                      attempt + 1 == options_.max_attempts_per_row);
-    if (constrain && !options_.constrain_values_to_column) {
-      ++stats->fallback_grammar_uses;
-    }
-    TokenSequence& context = ws->context;
-    context.clear();
-    ws->emitted.assign(columns.size(), 0);
-    std::vector<char>& emitted = ws->emitted;
-    size_t remaining = columns.size();
-
-    // Forced columns are written into the context first (in schema
-    // order): they become the conditioning prefix.
-    for (size_t c = 0; c < columns.size(); ++c) {
-      if (forced_index[c] < 0) continue;
-      if (remaining != columns.size()) context.push_back(encoder_->comma_token());
-      context.push_back(columns[c].name_token);
-      context.push_back(encoder_->is_token());
-      std::string text =
-          forced_values[static_cast<size_t>(forced_index[c])].ToDisplayString();
-      for (TokenId id : encoder_->EncodeTextLine(text)) context.push_back(id);
-      emitted[c] = 1;
-      --remaining;
-    }
-
-    bool failed = false;
-    while (remaining > 0 && !failed) {
-      if (!context.empty()) context.push_back(encoder_->comma_token());
-      // Choose the next column name among the remaining ones. Name tokens
-      // were interned in schema order, so this list is strictly ascending
-      // and takes the constrained decoder's no-copy fast path.
-      std::vector<TokenId>& allowed_names = ws->allowed_names;
-      allowed_names.clear();
-      for (size_t c = 0; c < columns.size(); ++c) {
-        if (!emitted[c]) allowed_names.push_back(columns[c].name_token);
-      }
-      // Name lists shrink as columns are emitted, so they are interned in
-      // the cache's transient namespace (content-addressed, stable within
-      // the worker) rather than the encoder's static registry.
-      AllowListId names_id = ws->cache != nullptr
-                                 ? ws->cache->InternTransient(allowed_names)
-                                 : kNoAllowList;
-      TokenId name_token =
-          SampleToken(context, allowed_names, names_id, rng, ws);
-      size_t col = columns.size();
-      for (size_t c = 0; c < columns.size(); ++c) {
-        if (!emitted[c] && columns[c].name_token == name_token) {
-          col = c;
-          break;
-        }
-      }
-      if (col == columns.size()) {
-        failed = true;
-        break;
-      }
-      context.push_back(name_token);
-      context.push_back(encoder_->is_token());
-
-      // Value tokens: constrained to tokens observed in this column (or,
-      // in free-value mode, any column), with the terminator admitted once
-      // at least one value token was emitted. All three variants were
-      // interned at Fit, strictly ascending, so every step is a no-copy
-      // draw with an O(1) cache key.
-      const ValueGrammar& grammar =
-          constrain ? column_grammars_[col] : free_grammar_;
-      bool last_column = (remaining == 1);
-      size_t value_len = 0;
-      bool closed = last_column;  // last column ends at eos
-      while (value_len < kMaxValueTokens) {
-        const std::vector<TokenId>* step_allowed = &grammar.values;
-        AllowListId step_id = grammar.values_id;
-        if (value_len > 0) {
-          step_allowed =
-              last_column ? &grammar.with_eos : &grammar.with_comma;
-          step_id =
-              last_column ? grammar.with_eos_id : grammar.with_comma_id;
-        }
-        TokenId next = SampleToken(context, *step_allowed, step_id, rng, ws);
-        if (value_len > 0 &&
-            (next == encoder_->comma_token() || next == Vocabulary::kEosId)) {
-          closed = true;
-          break;
-        }
-        context.push_back(next);
-        ++value_len;
-      }
-      if (value_len == 0 || (!closed && value_len >= kMaxValueTokens)) {
-        failed = true;
-        break;
-      }
-      emitted[col] = 1;
-      --remaining;
-    }
-    if (failed) {
-      ++stats->rejected_mid_row;
-      last_error = Status::DataLoss("generation failed mid-row");
-      continue;
-    }
-
-    Result<Row> decoded = encoder_->DecodeTokens(context);
-    if (!decoded.ok()) {
-      ++stats->rejected_decode_failure;
-      last_error = decoded.status();
-      continue;
-    }
-    Row row = std::move(decoded).ValueOrDie();
-
-    if (options_.restrict_to_observed) {
-      bool valid = true;
-      for (size_t c = 0; c < columns.size(); ++c) {
-        if (forced_index[c] >= 0) continue;
-        if (observed_values_[c].set.count(row[c].ToDisplayString()) == 0) {
-          if (attempt + 1 == options_.max_attempts_per_row &&
-              options_.fallback_to_constrained) {
-            // Last resort: snap the cell to a uniformly drawn observed
-            // value so one stubborn multi-token recombination cannot fail
-            // the whole Sample call. The draw indexes the sorted pool, so
-            // it maps picks to values identically after a Save/Load
-            // rebuild.
-            const auto& pool = observed_values_[c].sorted;
-            const std::string& snapped = pool[rng->Index(pool.size())];
-            GREATER_ASSIGN_OR_RETURN(row[c], encoder_->ParseValue(c, snapped));
-            ++stats->snapped_cells;
-            continue;
-          }
-          valid = false;
-          break;
-        }
-      }
-      if (!valid) {
-        ++stats->rejected_invalid_value;
-        last_error = Status::DataLoss("generated value outside the observed "
-                                      "category set");
-        continue;
-      }
-    }
-    // Forced values override whatever round-tripped through tokens (they
-    // may contain words outside the vocabulary).
-    for (size_t c = 0; c < columns.size(); ++c) {
-      if (forced_index[c] >= 0) {
-        row[c] = forced_values[static_cast<size_t>(forced_index[c])];
-      }
-    }
-    ++stats->rows_emitted;
-    return row;
-  }
-  ++stats->rows_exhausted;
-  return Status::ResourceExhausted(
-      "no valid row after " + std::to_string(options_.max_attempts_per_row) +
-      " attempts; last error: " + last_error.ToString());
+  GREATER_ASSIGN_OR_RETURN(
+      Table table,
+      SampleMany(1, conditions.has_value() ? &*conditions : nullptr, rng,
+                 nullptr, nullptr, SamplePolicy::kStrict));
+  return table.GetRow(0);
 }
 
 uint64_t GreatSynthesizer::DeriveSampleBase(Rng* rng) {
@@ -536,14 +335,14 @@ Result<Table> GreatSynthesizer::SampleMany(size_t n, const Table* conditions,
            std::to_string(i + 1) + " of " + std::to_string(n);
   };
   // Captured before any dispatch: pool workers have no view of this
-  // thread's span stack, so per-row spans take their parent explicitly.
+  // thread's span stack, so batch spans take their parent explicitly.
   const uint64_t parent_span = Span::CurrentId();
 
-  // One base draw (fixed Rng advance regardless of worker count or batch
+  // One base draw (fixed Rng advance regardless of worker count or chunk
   // size), then row i samples from the private stream seeded with
   // DeriveStreamSeed(base, i). Because every draw a row makes comes from
   // its own stream, the output is invariant to how rows are scheduled —
-  // serial, pooled, per-row or lockstep-batched — which is the whole
+  // serial or pooled, in chunks of any size — which is the whole
   // determinism contract: identical tables at any (num_threads,
   // batch_rows) for a fixed seed.
   uint64_t base = 0;
@@ -552,34 +351,16 @@ Result<Table> GreatSynthesizer::SampleMany(size_t n, const Table* conditions,
   }
   const size_t batch = std::max<size_t>(1, options_.batch_rows);
 
-  // Samples rows [begin, end), appending one Result<Row> per row to
-  // `rows`: lockstep chunks through the workspace's batch engine when
-  // batch_rows > 1, the per-row reference decoder otherwise.
+  // Samples rows [begin, end) in lockstep chunks of `batch` rows through
+  // the workspace's engine, appending one Result<Row> per row to `rows`.
   auto sample_range = [&](size_t begin, size_t end, SamplerWorkspace* ws,
                           SampleReport* stats,
                           std::vector<Result<Row>>* rows) {
-    if (ws->batch != nullptr) {
-      for (size_t chunk = begin; chunk < end; chunk += batch) {
-        size_t chunk_end = std::min(end, chunk + batch);
-        ws->batch->RunChunk(chunk, chunk_end, conditions, base,
-                            ws->cache.get(), &ws->decode, stats, parent_span,
-                            rows);
-      }
-      return;
-    }
-    std::map<std::string, Value> forced;
-    for (size_t i = begin; i < end; ++i) {
-      Rng row_rng(Rng::DeriveStreamSeed(base, i));
-      const std::map<std::string, Value>* forced_ptr = nullptr;
-      if (conditions != nullptr) {
-        forced.clear();
-        for (size_t c = 0; c < conditions->num_columns(); ++c) {
-          forced[conditions->schema().field(c).name] = conditions->at(i, c);
-        }
-        forced_ptr = &forced;
-      }
-      rows->push_back(
-          SampleRowImpl(&row_rng, forced_ptr, ws, stats, parent_span));
+    for (size_t chunk = begin; chunk < end; chunk += batch) {
+      size_t chunk_end = std::min(end, chunk + batch);
+      ws->engine->RunChunk(chunk, chunk_end, conditions, base,
+                           ws->cache.get(), &ws->decode, stats, parent_span,
+                           rows);
     }
   };
 
@@ -590,8 +371,7 @@ Result<Table> GreatSynthesizer::SampleMany(size_t n, const Table* conditions,
   size_t workers = pool != nullptr ? std::min(pool->num_workers(), n) : 1;
   if (workers <= 1 || n <= 1) {
     // Serial path: one chunk at a time, stopping at the first failure a
-    // strict policy surfaces (rows in later chunks are never attempted,
-    // exactly like the per-row loop this generalizes).
+    // strict policy surfaces (rows in later chunks are never attempted).
     SampleReport before = stats_;
     InitWorkspace(&serial_ws_);
     std::vector<Result<Row>> rows;
@@ -632,7 +412,7 @@ Result<Table> GreatSynthesizer::SampleMany(size_t n, const Table* conditions,
   };
   std::vector<WorkerOutput> outputs(workers);
   pool->ParallelFor(n, workers, [&](size_t shard, size_t begin, size_t end) {
-    SamplerWorkspace ws;  // private decode cache + batch engine per worker
+    SamplerWorkspace ws;  // private decode cache + engine per worker
     InitWorkspace(&ws);
     WorkerOutput& output = outputs[shard];
     output.rows.reserve(end - begin);
@@ -744,7 +524,7 @@ void AppendOptions(const GreatSynthesizer::Options& o, ByteWriter* w) {
   w->PutU64(o.num_threads);
   w->PutBool(o.decode_cache.enabled);
   w->PutU64(o.decode_cache.capacity);
-  w->PutU8(static_cast<uint8_t>(o.decode_cache.mode));
+  w->PutU8(0);  // retired decode-mode byte (see ReadOptions)
   w->PutBool(o.decode_cache.cache_hidden_states);
   w->PutU64(o.decode_cache.hidden_capacity);
   w->PutU64(o.batch_rows);
@@ -797,14 +577,15 @@ Status ReadOptions(ByteReader* r, GreatSynthesizer::Options* o) {
   GREATER_RETURN_NOT_OK(r->GetU64(&o->num_threads));
   GREATER_RETURN_NOT_OK(r->GetBool(&o->decode_cache.enabled));
   GREATER_RETURN_NOT_OK(r->GetU64(&o->decode_cache.capacity));
+  // Retired decode-mode byte: 0 was exact replay, the only draw scheme
+  // left. Anything else asked for a scheme this build cannot honour.
   uint8_t mode = 0;
   GREATER_RETURN_NOT_OK(r->GetU8(&mode));
-  if (mode > static_cast<uint8_t>(DecodeMode::kAlias)) {
-    return Status::DataLoss(
-        "corrupt synthesizer options: unknown decode mode " +
-        std::to_string(mode));
+  if (mode != 0) {
+    return Status::FailedPrecondition(
+        "synthesizer options request decode mode " + std::to_string(mode) +
+        "; only exact-replay draws (mode 0) are supported");
   }
-  o->decode_cache.mode = static_cast<DecodeMode>(mode);
   GREATER_RETURN_NOT_OK(r->GetBool(&o->decode_cache.cache_hidden_states));
   GREATER_RETURN_NOT_OK(r->GetU64(&o->decode_cache.hidden_capacity));
   GREATER_RETURN_NOT_OK(r->GetU64(&o->batch_rows));

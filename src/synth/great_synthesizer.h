@@ -93,16 +93,16 @@ class GreatSynthesizer {
     size_t num_threads = 1;
     /// Decode-time distribution cache (see DESIGN.md, "Decode cache &
     /// sampling kernels"). Each worker owns a private cache, so parallel
-    /// determinism is unchanged; the default kExactReplay mode draws the
-    /// same token stream as no cache at all, bit for bit.
+    /// determinism is unchanged, and cached draws replay the uncached
+    /// token stream bit for bit.
     DecodeCacheOptions decode_cache;
-    /// Rows decoded in lockstep per batch by the batched decode engine
-    /// (see DESIGN.md, "Batched columnar decode"). 1 = the per-row
-    /// reference path. Larger batches group lanes that share a (context
-    /// window, allow-list, temperature) key so each group costs one model
-    /// evaluation per step; every row draws from its own derived Rng
-    /// stream, so Sample/SampleConditional output is bitwise-identical at
-    /// ANY batch_rows value (and any num_threads).
+    /// Lockstep chunk size of the decode engine (see DESIGN.md, "Batched
+    /// columnar decode"): rows decoded together per chunk. Larger chunks
+    /// group lanes that share a (context window, allow-list, temperature)
+    /// key so each group costs one model evaluation per step; every row
+    /// draws from its own derived Rng stream, so Sample/SampleConditional
+    /// output is bitwise-identical at ANY batch_rows value (and any
+    /// num_threads). 0 is treated as 1.
     size_t batch_rows = 1;
     /// Count shards for out-of-core fitting (FitStreaming): chunks fan out
     /// over an internal thread pool onto this many integer-count
@@ -165,7 +165,13 @@ class GreatSynthesizer {
       const Table& conditions, SamplePolicy policy, Rng* rng,
       SampleReport* report = nullptr) const;
 
-  /// Samples a single row, optionally with forced column values.
+  /// Samples a single row, optionally with forced column values. A chunk
+  /// of one through the decode engine: the result equals row 0 of
+  /// SampleConditional over a one-row table holding `forced` (or of
+  /// Sample(1) when `forced` is null or empty) from the same `rng`, under
+  /// strict policy. The row draws from the stream derived for row 0
+  /// rather than straight from `rng`, so a seeded SampleRow returns a
+  /// different row than the earlier per-row decoder did.
   Result<Row> SampleRow(Rng* rng,
                         const std::map<std::string, Value>* forced =
                             nullptr) const;
@@ -221,27 +227,21 @@ class GreatSynthesizer {
 
  private:
   friend class BatchDecodeEngine;
+  /// The uncached per-row decoder the tests check the engine against.
+  friend class ReferenceDecoder;
 
   /// Hard cap on tokens per generated value; guards against degenerate
-  /// loops when the model keeps emitting value tokens. Shared by the
-  /// per-row reference decoder and the batched engine, which must agree
-  /// on it bit for bit.
+  /// loops when the model keeps emitting value tokens.
   static constexpr size_t kMaxValueTokens = 24;
 
-  /// Reusable per-sampler buffers: one allocation set per worker (or per
-  /// Sample call) instead of one per row attempt. Owns the worker's
-  /// private DecodeCache — caches are never shared across workers, so the
-  /// parallel determinism contract is untouched — and, when batch_rows
-  /// > 1, the worker's lockstep batch engine.
+  /// Reusable per-sampler state: one set per worker (or per Sample call)
+  /// instead of one per chunk. Owns the worker's decode engine and private
+  /// DecodeCache — caches are never shared across workers, so the
+  /// parallel determinism contract is untouched.
   struct SamplerWorkspace {
-    std::vector<int> forced_index;
-    std::vector<Value> forced_values;
-    TokenSequence context;
-    std::vector<char> emitted;
-    std::vector<TokenId> allowed_names;
     DecodeWorkspace decode;
     std::unique_ptr<DecodeCache> cache;
-    std::unique_ptr<BatchDecodeEngine> batch;
+    std::unique_ptr<BatchDecodeEngine> engine;
   };
 
   /// Allow-list variants for one value grammar, interned once at Fit: the
@@ -257,34 +257,17 @@ class GreatSynthesizer {
     AllowListId with_eos_id = kNoAllowList;
   };
 
-  /// Prepares a sampler workspace: constructs its private DecodeCache when
-  /// enabled (idempotent — an existing cache is kept warm) and sizes the
-  /// neural hidden-state cache.
+  /// Prepares a sampler workspace: constructs its engine and, when
+  /// enabled, its private DecodeCache (idempotent — an existing cache is
+  /// kept warm) and sizes the neural hidden-state cache.
   void InitWorkspace(SamplerWorkspace* ws) const;
 
-  /// One constrained draw, routed through the workspace's DecodeCache when
-  /// present (kExactReplay keeps the token stream bitwise-identical to the
-  /// direct SampleNext call).
-  TokenId SampleToken(const TokenSequence& context,
-                      const std::vector<TokenId>& allowed,
-                      AllowListId allow_id, Rng* rng,
-                      SamplerWorkspace* ws) const;
-
-  /// SampleRow body. Assumes fitted; accumulates diagnostics into `stats`
-  /// (never the shared `stats_` directly, so parallel workers can pass
-  /// private reports). `parent_span_id` is the observability span this
-  /// row's "synth.row" span nests under — pool workers cannot see the
-  /// caller's thread-local span stack, so the parent travels explicitly.
-  Result<Row> SampleRowImpl(Rng* rng,
-                            const std::map<std::string, Value>* forced,
-                            SamplerWorkspace* ws, SampleReport* stats,
-                            uint64_t parent_span_id) const;
-
-  /// Shared core of Sample / SampleConditional / SampleRows. `conditions`
-  /// null -> unconditional; row i otherwise forces conditions row i.
-  /// Serial (drawing from `rng` directly) unless `pool` has > 1 worker
-  /// and n > 1. `policy` is the effective degradation policy for this
-  /// call (usually options_.policy; the supervisor may override).
+  /// Shared core of every Sample* call and SampleRow. `conditions` null
+  /// -> unconditional; row i otherwise forces conditions row i. Rows are
+  /// decoded in lockstep chunks of batch_rows, serially unless `pool` has
+  /// > 1 worker and n > 1. `policy` is the effective degradation policy
+  /// for this call (usually options_.policy; the supervisor may
+  /// override).
   Result<Table> SampleMany(size_t n, const Table* conditions, Rng* rng,
                            ThreadPool* pool, SampleReport* report,
                            SamplePolicy policy) const;
@@ -325,8 +308,8 @@ class GreatSynthesizer {
   ValueGrammar free_grammar_;
   /// Serial-path workspace, persistent across Sample* calls so the decode
   /// cache stays warm between them (a repeated SampleConditional over many
-  /// parents reuses one cache). Cache contents never influence output in
-  /// either mode, so reuse cannot perturb determinism. Parallel workers
+  /// parents reuses one cache). Cache contents never influence output, so
+  /// reuse cannot perturb determinism. Parallel workers
   /// get fresh private workspaces per call instead — like stats_, this
   /// member makes concurrent Sample* calls on one synthesizer unsupported.
   mutable SamplerWorkspace serial_ws_;

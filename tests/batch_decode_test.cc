@@ -1,16 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <new>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "reference_decoder.h"
+#include "stream/sample_emit.h"
 #include "synth/batch_decode.h"
 #include "synth/great_synthesizer.h"
 #include "synth/sample_report.h"
+#include "tabular/csv.h"
 #include "tabular/table.h"
 
 // Global allocation counter for the steady-state zero-allocation probe.
@@ -81,131 +91,226 @@ GreatSynthesizer::Options TinyNeuralOptions() {
   return options;
 }
 
-// ---------- Bitwise equivalence: batched vs per-row reference ----------
+// ---------- Bitwise equivalence: engine vs reference decoder ----------
 
-TEST(BatchDecodeTest, BatchedEqualsSerialAtEveryBatchSizeNGram) {
-  Table train = SmallTable();
-  GreatSynthesizer::Options serial_options;
-  GreatSynthesizer serial = FitWith(serial_options, train, 7);
-  Rng r_serial(11);
-  Table reference = serial.Sample(30, &r_serial).ValueOrDie();
-
-  for (size_t batch : {2u, 3u, 8u, 64u}) {
-    GreatSynthesizer::Options options;
-    options.batch_rows = batch;
-    GreatSynthesizer batched = FitWith(options, train, 7);
-    Rng r_batched(11);
-    Table t = batched.Sample(30, &r_batched).ValueOrDie();
-    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
-    ExpectTablesEqual(reference, t);
+// 70 columns: wider than the engine's 64-bit name-memo masks, so every
+// name-state draw takes the per-lane remaining-name fallback.
+Table WideTable() {
+  std::vector<Field> fields;
+  for (int c = 0; c < 70; ++c) {
+    fields.emplace_back("col_" + std::to_string(c), ValueType::kInt);
   }
-  // The caller-visible generator advanced identically (two base draws).
-  Rng r_check(11);
-  GreatSynthesizer::Options options;
-  options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(options, train, 7);
-  ASSERT_TRUE(batched.Sample(30, &r_check).ok());
-  EXPECT_EQ(r_serial.Uniform(), r_check.Uniform());
+  Table t{Schema(fields)};
+  Rng rng(9);
+  for (int r = 0; r < 24; ++r) {
+    Row row;
+    for (int c = 0; c < 70; ++c) {
+      row.emplace_back(rng.UniformInt(0, c % 3 + 1));
+    }
+    EXPECT_TRUE(t.AppendRow(std::move(row)).ok());
+  }
+  return t;
 }
 
-TEST(BatchDecodeTest, BatchedEqualsSerialNeuralBackbone) {
+Table NameConditions(size_t rows) {
+  Table conditions(Schema({Field("name", ValueType::kString)}));
+  const char* names[] = {"Grace", "Yin", "Anson", "Mia", "Nobody"};
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(conditions.AppendRow({Value(names[i % 5])}).ok());
+  }
+  return conditions;
+}
+
+Table WideConditions(size_t rows) {
+  Table conditions(Schema({Field("col_3", ValueType::kInt),
+                           Field("col_66", ValueType::kInt)}));
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(conditions
+                    .AppendRow({Value(static_cast<int64_t>(i % 2)),
+                                Value(static_cast<int64_t>(i % 3))})
+                    .ok());
+  }
+  return conditions;
+}
+
+// Fits `options` on `train` at every chunk size in `chunks`, with the
+// decode cache on and off, and checks Sample(n) — or SampleConditional
+// when `conditions` is set — against the reference decoder over the same
+// fitted model: the same table or the same error, the same caller Rng
+// advance, and on success the same report. Successful reports are merged
+// into `coverage` (when set) so callers can assert which paths ran.
+void ExpectEngineMatchesReference(GreatSynthesizer::Options options,
+                                  const Table& train,
+                                  const Table* conditions, size_t n,
+                                  const std::vector<size_t>& chunks,
+                                  const std::string& tag,
+                                  SampleReport* coverage = nullptr) {
+  if (conditions != nullptr) n = conditions->num_rows();
+  for (bool cache : {true, false}) {
+    for (size_t chunk : chunks) {
+      SCOPED_TRACE(tag + (cache ? " cache=on" : " cache=off") +
+                   " batch_rows=" + std::to_string(chunk));
+      options.decode_cache.enabled = cache;
+      options.batch_rows = chunk;
+      GreatSynthesizer synth = FitWith(options, train, 7);
+
+      Rng engine_rng(11), reference_rng(11);
+      SampleReport engine_report, reference_report;
+      Result<Table> engine =
+          conditions != nullptr
+              ? synth.SampleConditional(*conditions, &engine_rng,
+                                        &engine_report)
+              : synth.Sample(n, &engine_rng, &engine_report);
+      Result<Table> reference = ReferenceDecoder(synth).Sample(
+          n, conditions, &reference_rng, &reference_report);
+      EXPECT_EQ(engine_rng.Uniform(), reference_rng.Uniform());
+      ASSERT_EQ(engine.ok(), reference.ok())
+          << "engine: " << engine.status()
+          << " reference: " << reference.status();
+      if (!engine.ok()) {
+        // Strict failure: the first failing row, with the same context.
+        // Reports may differ, since the engine finishes the failing chunk.
+        EXPECT_EQ(engine.status().ToString(), reference.status().ToString());
+        continue;
+      }
+      ExpectTablesEqual(*reference, *engine);
+      EXPECT_EQ(reference_report.ToString(), engine_report.ToString());
+      EXPECT_TRUE(engine_report.Reconciles());
+      if (coverage != nullptr) coverage->Merge(engine_report);
+    }
+  }
+}
+
+const std::vector<size_t> kChunkSizes = {1, 2, 3, 8, 64};
+
+TEST(BatchDecodeTest, EngineEqualsReferenceNGram) {
   Table train = SmallTable();
-  GreatSynthesizer serial = FitWith(TinyNeuralOptions(), train, 7);
+  Table conditions = NameConditions(12);
+  GreatSynthesizer::Options options;
+  for (SamplePolicy policy : {SamplePolicy::kStrict, SamplePolicy::kLenient}) {
+    options.policy = policy;
+    std::string tag = std::string("ngram ") + SamplePolicyToString(policy);
+    ExpectEngineMatchesReference(options, train, nullptr, 30, kChunkSizes,
+                                 tag);
+    ExpectEngineMatchesReference(options, train, &conditions, 0, kChunkSizes,
+                                 tag + " conditional");
+  }
+}
+
+TEST(BatchDecodeTest, EngineEqualsReferenceNeural) {
+  Table train = SmallTable();
+  Table conditions = NameConditions(8);
   GreatSynthesizer::Options options = TinyNeuralOptions();
-  options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(options, train, 7);
-
-  Rng r1(13), r2(13);
-  Table t_serial = serial.Sample(12, &r1).ValueOrDie();
-  Table t_batched = batched.Sample(12, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
+  for (SamplePolicy policy : {SamplePolicy::kStrict, SamplePolicy::kLenient}) {
+    options.policy = policy;
+    std::string tag = std::string("neural ") + SamplePolicyToString(policy);
+    ExpectEngineMatchesReference(options, train, nullptr, 12, kChunkSizes,
+                                 tag);
+    ExpectEngineMatchesReference(options, train, &conditions, 0, kChunkSizes,
+                                 tag + " conditional");
+  }
 }
 
-TEST(BatchDecodeTest, BatchedEqualsSerialWithCacheDisabled) {
-  // Cache off exercises the grouped-evaluation CDF replay rather than the
-  // DecodeCache resolve/draw split.
-  Table train = SmallTable();
-  GreatSynthesizer::Options off;
-  off.decode_cache.enabled = false;
-  GreatSynthesizer serial = FitWith(off, train, 7);
-  GreatSynthesizer::Options batched_off = off;
-  batched_off.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(batched_off, train, 7);
-
-  Rng r1(17), r2(17);
-  Table t_serial = serial.Sample(24, &r1).ValueOrDie();
-  Table t_batched = batched.Sample(24, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
-  EXPECT_EQ(r1.Uniform(), r2.Uniform());
-}
-
-TEST(BatchDecodeTest, BatchedConditionalEqualsSerial) {
-  Table train = SmallTable();
-  GreatSynthesizer serial = FitWith(GreatSynthesizer::Options(), train, 7);
-  GreatSynthesizer::Options options;
-  options.batch_rows = 4;
-  GreatSynthesizer batched = FitWith(options, train, 7);
-
-  Schema cond_schema({Field("name", ValueType::kString)});
-  Table conditions(cond_schema);
+// Multi-word city names: their tokens recombine into unseen values
+// ("San York"), which drives the invalid-value rejection and, on the last
+// attempt, the snap-to-observed path.
+Table CityTable() {
+  Schema schema({Field("name", ValueType::kString),
+                 Field("city", ValueType::kString),
+                 Field("lunch", ValueType::kInt)});
+  Table t(schema);
   const char* names[] = {"Grace", "Yin", "Anson", "Mia"};
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(conditions.AppendRow({Value(names[i % 4])}).ok());
+  const char* cities[] = {"New York", "Los Angeles", "San Jose",
+                          "San Diego", "New Haven"};
+  Rng rng(5);
+  for (int i = 0; i < 48; ++i) {
+    Row row;
+    row.emplace_back(names[i % 4]);
+    row.emplace_back(cities[rng.Index(5)]);
+    row.emplace_back(rng.UniformInt(1, 2));
+    EXPECT_TRUE(t.AppendRow(std::move(row)).ok());
   }
-
-  Rng r1(23), r2(23);
-  Table t_serial = serial.SampleConditional(conditions, &r1).ValueOrDie();
-  Table t_batched = batched.SampleConditional(conditions, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
-  for (size_t r = 0; r < t_batched.num_rows(); ++r) {
-    EXPECT_EQ(t_batched.at(r, 0).ToDisplayString(), names[r % 4]);
-  }
+  return t;
 }
 
-TEST(BatchDecodeTest, BatchedEqualsSerialFreeValueLenientMode) {
+TEST(BatchDecodeTest, EngineEqualsReferenceFreeValueMode) {
   // Free-value decoding with a tight retry budget drives the rejection,
-  // fallback-grammar, and snap paths; lenient policy keeps exhausted rows
-  // as accounted gaps. Every one of those branches must consume the same
-  // per-row stream on both engines.
-  Table train = SmallTable();
+  // fallback-grammar and snap paths; every one of those branches must
+  // consume the same per-row stream. Without the fallback, strict runs
+  // can also fail, which must surface as the same first error.
+  Table train = CityTable();
+  Table conditions = NameConditions(10);
+  SampleReport coverage;
   GreatSynthesizer::Options options;
+  // A bigram model conditions value tokens on "is" alone, so free-value
+  // draws often borrow another column's tokens.
+  options.ngram.order = 2;
   options.constrain_values_to_column = false;
   options.max_attempts_per_row = 3;
-  options.policy = SamplePolicy::kLenient;
-  GreatSynthesizer serial = FitWith(options, train, 7);
-  GreatSynthesizer::Options batched_options = options;
-  batched_options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(batched_options, train, 7);
-
-  Rng r1(29), r2(29);
-  SampleReport report_serial, report_batched;
-  Table t_serial = serial.Sample(20, &r1, &report_serial).ValueOrDie();
-  Table t_batched = batched.Sample(20, &r2, &report_batched).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
-  EXPECT_TRUE(report_serial.Reconciles());
-  EXPECT_TRUE(report_batched.Reconciles());
-  EXPECT_EQ(report_serial.rows_emitted, report_batched.rows_emitted);
-  EXPECT_EQ(report_serial.attempts, report_batched.attempts);
-  EXPECT_EQ(report_serial.snapped_cells, report_batched.snapped_cells);
-  EXPECT_EQ(report_serial.fallback_grammar_uses,
-            report_batched.fallback_grammar_uses);
+  for (SamplePolicy policy : {SamplePolicy::kStrict, SamplePolicy::kLenient}) {
+    for (bool fallback : {true, false}) {
+      options.policy = policy;
+      options.fallback_to_constrained = fallback;
+      std::string tag = std::string("free ") + SamplePolicyToString(policy) +
+                        (fallback ? " fallback" : " no-fallback");
+      ExpectEngineMatchesReference(options, train, nullptr, 20, kChunkSizes,
+                                   tag, &coverage);
+      ExpectEngineMatchesReference(options, train, &conditions, 0,
+                                   kChunkSizes, tag + " conditional",
+                                   &coverage);
+    }
+  }
+  EXPECT_GT(coverage.rejected_invalid_value, 0u);
+  EXPECT_GT(coverage.fallback_grammar_uses, 0u);
+  EXPECT_GT(coverage.snapped_cells, 0u);
+  EXPECT_GT(coverage.rows_exhausted, 0u);
 }
 
-TEST(BatchDecodeTest, BatchedParallelEqualsSerialPerRow) {
+TEST(BatchDecodeTest, EngineEqualsReferenceWideSchema) {
+  Table train = WideTable();
+  Table conditions = WideConditions(6);
+  GreatSynthesizer::Options options;
+  options.encoder.permutations_per_row = 1;
+  ExpectEngineMatchesReference(options, train, nullptr, 8, {1, 8}, "wide");
+  ExpectEngineMatchesReference(options, train, &conditions, 0, {1, 8},
+                               "wide conditional");
+}
+
+TEST(BatchDecodeTest, SampleRowIsAChunkOfOne) {
+  GreatSynthesizer synth =
+      FitWith(GreatSynthesizer::Options(), SmallTable(), 7);
+  std::map<std::string, Value> forced = {{"name", Value("Nobody")}};
+  Rng r1(3), r2(3);
+  Row row = synth.SampleRow(&r1, &forced).ValueOrDie();
+  Table conditions(Schema({Field("name", ValueType::kString)}));
+  ASSERT_TRUE(conditions.AppendRow({Value("Nobody")}).ok());
+  Table table = synth.SampleConditional(conditions, &r2).ValueOrDie();
+  EXPECT_EQ(row, table.GetRow(0));
+  EXPECT_EQ(row[0].as_string(), "Nobody");
+
+  Rng r3(5), r4(5);
+  Row free_row = synth.SampleRow(&r3).ValueOrDie();
+  EXPECT_EQ(free_row, synth.Sample(1, &r4).ValueOrDie().GetRow(0));
+  EXPECT_EQ(r3.Uniform(), r4.Uniform());
+}
+
+TEST(BatchDecodeTest, ParallelChunksEqualReference) {
+  // Rows own their derived streams, so output is invariant to the whole
+  // scheduling cross-product: 4 workers x lockstep chunks must equal the
+  // one-row-at-a-time reference.
   Table train = SmallTable();
-  GreatSynthesizer serial = FitWith(GreatSynthesizer::Options(), train, 7);
   GreatSynthesizer::Options options;
   options.num_threads = 4;
-  options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(options, train, 7);
-
-  // Rows own their derived streams, so output is invariant to the whole
-  // scheduling cross-product: 1 thread x per-row must equal 4 threads x
-  // lockstep batches.
-  Rng r1(31), r2(31);
-  Table t_serial = serial.Sample(40, &r1).ValueOrDie();
-  Table t_batched = batched.Sample(40, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
+  for (size_t chunk : {1u, 8u}) {
+    options.batch_rows = chunk;
+    GreatSynthesizer synth = FitWith(options, train, 7);
+    Rng r1(31), r2(31);
+    Table engine = synth.Sample(40, &r1).ValueOrDie();
+    Table reference =
+        ReferenceDecoder(synth).Sample(40, nullptr, &r2).ValueOrDie();
+    SCOPED_TRACE("batch_rows=" + std::to_string(chunk));
+    ExpectTablesEqual(reference, engine);
+  }
 }
 
 TEST(BatchDecodeTest, SampleRowsPoolEqualsSampleAtAnyBatch) {
@@ -342,6 +447,82 @@ TEST(BatchDecodeTest, RunChunkReportMatchesSampleReportContract) {
   const BatchDecodeEngine::LocalStats& stats = engine.stats();
   EXPECT_EQ(stats.lanes, 12u);
   EXPECT_EQ(stats.group_evals + stats.model_evals_saved, stats.lane_steps);
+}
+
+// ---------- Golden bytes ----------
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x00000100000001b3ull;
+  }
+  return h;
+}
+
+std::string Hex(uint64_t h) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+struct GoldenHashes {
+  uint64_t sample;       ///< WriteCsvString(Sample(200))
+  uint64_t conditional;  ///< WriteCsvString(SampleConditional(50 rows))
+  uint64_t emitted;      ///< file bytes of SampleRowsToCsvStreaming(200)
+};
+
+// The hashes were recorded from the per-row decoder that preceded the
+// single engine path (Sample and SampleConditional at the default
+// batch_rows = 1). Any change to decode, draw, grammar or rendering order
+// moves them.
+void ExpectGoldenBytes(const GreatSynthesizer::Options& options,
+                       const std::string& tag, const GoldenHashes& expected) {
+  GreatSynthesizer synth = FitWith(options, SmallTable(), 7);
+
+  Rng sample_rng(2026);
+  Result<Table> sample = synth.Sample(200, &sample_rng);
+  ASSERT_TRUE(sample.ok()) << sample.status();
+  EXPECT_EQ(Hex(Fnv1a(WriteCsvString(*sample))), Hex(expected.sample))
+      << tag << " Sample(200)";
+
+  Table conditions(Schema({Field("name", ValueType::kString)}));
+  const char* names[] = {"Grace", "Yin", "Anson", "Mia", "Nobody"};
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(conditions.AppendRow({Value(names[i % 5])}).ok());
+  }
+  Rng cond_rng(2027);
+  Result<Table> conditional = synth.SampleConditional(conditions, &cond_rng);
+  ASSERT_TRUE(conditional.ok()) << conditional.status();
+  EXPECT_EQ(Hex(Fnv1a(WriteCsvString(*conditional))),
+            Hex(expected.conditional))
+      << tag << " SampleConditional(50)";
+
+  std::string path = testing::TempDir() + "greater_golden_" + tag + ".csv";
+  SampleEmitOptions emit;
+  emit.chunk_rows = 64;
+  Result<SampleReport> emitted =
+      SampleRowsToCsvStreaming(synth, 200, 2028, path, emit);
+  ASSERT_TRUE(emitted.ok()) << emitted.status();
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(Hex(Fnv1a(bytes)), Hex(expected.emitted))
+      << tag << " SampleRowsToCsvStreaming(200)";
+  std::remove(path.c_str());
+}
+
+TEST(GoldenBytesTest, NGramBackbone) {
+  ExpectGoldenBytes(GreatSynthesizer::Options(), "ngram",
+                    {0x339e896b4e28dadcull, 0x72a8758c74304d67ull,
+                     0x3d0b0ad0144ef873ull});
+}
+
+TEST(GoldenBytesTest, NeuralBackbone) {
+  ExpectGoldenBytes(TinyNeuralOptions(), "neural",
+                    {0xa703fc60c08f3b2dull, 0xf83f8fce56fd4221ull,
+                     0xffe729b9504f979full});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "crosstable/flatten.h"
 #include "crosstable/independence.h"
 #include "datagen/digix.h"
+#include "tabular/csv.h"
 
 namespace greater {
 namespace {
@@ -199,6 +200,22 @@ TEST(DigixTest, DeterministicGivenSeed) {
   auto b = Generate(99);
   EXPECT_TRUE(a.ads == b.ads);
   EXPECT_TRUE(a.feeds == b.feeds);
+}
+
+TEST(DigixTest, GenerateBytesPinnedAtSeed2026) {
+  // FNV-1a (64-bit) of both rendered tables. The hash predates clamping
+  // the history-pool Bernoulli probability to 1: libstdc++'s
+  // bernoulli_distribution makes one canonical draw and returns true for
+  // any p >= 1, so the clamp must not move a byte.
+  Rng rng(2026);
+  DigixDataset data = DigixGenerator().Generate(&rng).ValueOrDie();
+  std::string bytes = WriteCsvString(data.ads) + WriteCsvString(data.feeds);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x00000100000001b3ull;
+  }
+  EXPECT_EQ(h, 0x607c6a02a51fa705ull);
 }
 
 TEST(DigixTest, OptionsValidated) {

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "lm/alias_table.h"
 #include "lm/decode_cache.h"
 #include "lm/neural_lm.h"
 #include "lm/ngram_lm.h"
 #include "obs/metrics.h"
+#include "reference_decoder.h"
 #include "synth/great_synthesizer.h"
 #include "tabular/table.h"
 #include "text/vocabulary.h"
@@ -38,28 +38,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace greater {
 namespace {
-
-// ---------- AliasTable ----------
-
-TEST(AliasTableTest, EmpiricalFrequenciesMatchWeights) {
-  std::vector<double> weights = {0.5, 0.0, 1.5, 2.0};
-  double total = 4.0;
-  AliasTable table;
-  table.Build(weights, total);
-  ASSERT_EQ(table.size(), weights.size());
-
-  Rng rng(123);
-  constexpr int kDraws = 40000;
-  std::vector<int> counts(weights.size(), 0);
-  for (int i = 0; i < kDraws; ++i) ++counts[table.Sample(&rng)];
-
-  EXPECT_EQ(counts[1], 0);  // zero-weight bucket must never fire
-  for (size_t i = 0; i < weights.size(); ++i) {
-    double expected = weights[i] / total;
-    double observed = static_cast<double>(counts[i]) / kDraws;
-    EXPECT_NEAR(observed, expected, 0.02) << "bucket " << i;
-  }
-}
 
 // ---------- AllowListInterner ----------
 
@@ -115,7 +93,7 @@ std::vector<TokenSequence> TestContexts() {
 void ExpectExactReplayMatchesUncached(const LanguageModel& lm,
                                       double temperature) {
   std::vector<TokenId> candidates = {5, 6, 7, 8, 9, 10, 11};
-  DecodeCacheOptions options;  // defaults: enabled, kExactReplay
+  DecodeCacheOptions options;  // defaults: enabled
   DecodeCache cache(options);
   AllowListId allow_id = cache.InternTransient(candidates);
   DecodeWorkspace cached_ws, plain_ws;
@@ -155,33 +133,6 @@ TEST(DecodeCacheTest, ExactReplayMatchesUncachedNeural) {
   ASSERT_TRUE(lm.Fit(SmallCorpus()).ok());
   ExpectExactReplayMatchesUncached(lm, 1.0);
   ExpectExactReplayMatchesUncached(lm, 0.7);
-}
-
-TEST(DecodeCacheTest, AliasModeDrawsValidTokensDeterministically) {
-  NGramLm lm(32);
-  ASSERT_TRUE(lm.Fit(SmallCorpus()).ok());
-  std::vector<TokenId> candidates = {5, 6, 7, 8, 9, 10, 11};
-
-  DecodeCacheOptions options;
-  options.mode = DecodeMode::kAlias;
-  auto run = [&]() {
-    DecodeCache cache(options);
-    AllowListId allow_id = cache.InternTransient(candidates);
-    DecodeWorkspace ws;
-    Rng rng(42);
-    std::vector<TokenId> drawn;
-    for (const TokenSequence& context : TestContexts()) {
-      TokenId token = cache.SampleRestricted(lm, context, candidates,
-                                             allow_id, 1.0, &rng, &ws);
-      EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
-                                     token));
-      drawn.push_back(token);
-    }
-    return drawn;
-  };
-  // Deterministic per seed even though the uniform-consumption pattern
-  // differs from the uncached path.
-  EXPECT_EQ(run(), run());
 }
 
 // ---------- Eviction ----------
@@ -314,67 +265,49 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
   }
 }
 
-TEST(DecodeCacheTest, SynthesizerCacheOnEqualsCacheOff) {
-  GreatSynthesizer::Options on, off;
-  off.decode_cache.enabled = false;
-  GreatSynthesizer s_on(on), s_off(off);
-  Table train = SmallTable();
-  Rng fit1(7), fit2(7);
-  ASSERT_TRUE(s_on.Fit(train, &fit1).ok());
-  ASSERT_TRUE(s_off.Fit(train, &fit2).ok());
-
-  Rng r1(11), r2(11);
-  Table t_on = s_on.Sample(30, &r1).ValueOrDie();
-  Table t_off = s_off.Sample(30, &r2).ValueOrDie();
-  ExpectTablesEqual(t_on, t_off);
-  // Seeded replay: the generators themselves stayed in lockstep.
+// Cached engine output against the uncached reference decoder: the cache
+// (and each worker's private copy of it) must be invisible in the bytes
+// and in the caller's Rng advance.
+void ExpectCachedSynthesizerMatchesReference(
+    const GreatSynthesizer::Options& options, size_t n, uint64_t seed) {
+  ASSERT_TRUE(options.decode_cache.enabled);
+  GreatSynthesizer synth(options);
+  Rng fit(7);
+  ASSERT_TRUE(synth.Fit(SmallTable(), &fit).ok());
+  Rng r1(seed), r2(seed);
+  Table cached = synth.Sample(n, &r1).ValueOrDie();
+  Table reference =
+      ReferenceDecoder(synth).Sample(n, nullptr, &r2).ValueOrDie();
+  ExpectTablesEqual(cached, reference);
   EXPECT_EQ(r1.Uniform(), r2.Uniform());
 }
 
-TEST(DecodeCacheTest, SynthesizerCacheOnEqualsCacheOffNeuralBackbone) {
-  GreatSynthesizer::Options on, off;
-  on.backbone = GreatSynthesizer::Backbone::kNeural;
-  on.neural.context_window = 4;
-  on.neural.embed_dim = 4;
-  on.neural.hidden_dim = 8;
-  on.neural.epochs = 2;
-  on.neural.pretrain_epochs = 0;
-  // The deliberately under-trained backbone can exhaust a row's retry
-  // budget; lenient policy keeps the run alive, and both sides degrade
-  // identically because their Rng streams stay in lockstep.
-  on.policy = SamplePolicy::kLenient;
-  off = on;
-  off.decode_cache.enabled = false;
-  GreatSynthesizer s_on(on), s_off(off);
-  Table train = SmallTable();
-  Rng fit1(7), fit2(7);
-  ASSERT_TRUE(s_on.Fit(train, &fit1).ok());
-  ASSERT_TRUE(s_off.Fit(train, &fit2).ok());
+TEST(DecodeCacheTest, SynthesizerCacheEqualsReferenceDecoder) {
+  ExpectCachedSynthesizerMatchesReference(GreatSynthesizer::Options(), 30,
+                                          11);
+}
 
-  Rng r1(13), r2(13);
-  Table t_on = s_on.Sample(10, &r1).ValueOrDie();
-  Table t_off = s_off.Sample(10, &r2).ValueOrDie();
-  ExpectTablesEqual(t_on, t_off);
+TEST(DecodeCacheTest, SynthesizerCacheEqualsReferenceDecoderNeural) {
+  GreatSynthesizer::Options options;
+  options.backbone = GreatSynthesizer::Backbone::kNeural;
+  options.neural.context_window = 4;
+  options.neural.embed_dim = 4;
+  options.neural.hidden_dim = 8;
+  options.neural.epochs = 2;
+  options.neural.pretrain_epochs = 0;
+  // The deliberately under-trained backbone can exhaust a row's retry
+  // budget; lenient policy keeps the run alive, and both decoders degrade
+  // identically because every row draws from its own stream.
+  options.policy = SamplePolicy::kLenient;
+  ExpectCachedSynthesizerMatchesReference(options, 10, 13);
 }
 
 TEST(DecodeCacheTest, ParallelWorkersKeepPrivateCachesDeterministic) {
-  GreatSynthesizer::Options on, off;
-  on.num_threads = 4;
-  off.num_threads = 4;
-  off.decode_cache.enabled = false;
-  GreatSynthesizer s_on(on), s_off(off);
-  Table train = SmallTable();
-  Rng fit1(7), fit2(7);
-  ASSERT_TRUE(s_on.Fit(train, &fit1).ok());
-  ASSERT_TRUE(s_off.Fit(train, &fit2).ok());
-
   // Per-worker caches never share state, so the parallel determinism
-  // contract reduces to the serial one per worker stream: cache-on output
-  // equals cache-off output for the same (seed, num_threads).
-  Rng r1(19), r2(19);
-  Table t_on = s_on.Sample(40, &r1).ValueOrDie();
-  Table t_off = s_off.Sample(40, &r2).ValueOrDie();
-  ExpectTablesEqual(t_on, t_off);
+  // contract reduces to the serial one per row stream.
+  GreatSynthesizer::Options options;
+  options.num_threads = 4;
+  ExpectCachedSynthesizerMatchesReference(options, 40, 19);
 }
 
 TEST(DecodeCacheTest, CachedCountersReconcile) {
@@ -405,73 +338,14 @@ TEST(DecodeCacheTest, CachedCountersReconcile) {
   EXPECT_EQ(fast.Value() - fast_before, misses_delta);
 }
 
-// ---------- Vectorized group draws (SampleMany / DrawResolvedMany) ----------
+// ---------- Vectorized group draws (DrawResolvedMany) ----------
 
-TEST(AliasTableTest, SampleManyBitwiseEqualsPerLaneSample) {
-  std::vector<double> weights = {0.5, 0.0, 1.5, 2.0, 0.25};
-  AliasTable table;
-  table.Build(weights, 4.25);
-
-  constexpr size_t kLanes = 9;
-  // Two identically-seeded rng families: one drawn per-lane, one through
-  // the vectorized path. Tokens AND stream positions must match.
-  std::vector<Rng> serial_rngs, many_rngs;
-  std::vector<Rng*> many_ptrs;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    serial_rngs.emplace_back(1000 + lane * 17);
-    many_rngs.emplace_back(1000 + lane * 17);
-  }
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    many_ptrs.push_back(&many_rngs[lane]);
-  }
-
-  for (int round = 0; round < 50; ++round) {
-    std::vector<size_t> many(kLanes);
-    table.SampleMany(many_ptrs.data(), kLanes, many.data());
-    for (size_t lane = 0; lane < kLanes; ++lane) {
-      EXPECT_EQ(table.Sample(&serial_rngs[lane]), many[lane])
-          << "round " << round << " lane " << lane;
-    }
-  }
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    EXPECT_EQ(serial_rngs[lane].Uniform(), many_rngs[lane].Uniform())
-        << "lane " << lane << " stream diverged";
-  }
-}
-
-TEST(AliasTableTest, SampleManyEmpiricalFrequenciesMatchWeights) {
-  std::vector<double> weights = {0.5, 0.0, 1.5, 2.0};
-  AliasTable table;
-  table.Build(weights, 4.0);
-
-  constexpr size_t kLanes = 8;
-  constexpr int kRounds = 5000;
-  std::vector<Rng> rngs;
-  std::vector<Rng*> ptrs;
-  for (size_t lane = 0; lane < kLanes; ++lane) rngs.emplace_back(lane + 3);
-  for (size_t lane = 0; lane < kLanes; ++lane) ptrs.push_back(&rngs[lane]);
-
-  std::vector<int> counts(weights.size(), 0);
-  std::vector<size_t> out(kLanes);
-  for (int round = 0; round < kRounds; ++round) {
-    table.SampleMany(ptrs.data(), kLanes, out.data());
-    for (size_t lane = 0; lane < kLanes; ++lane) ++counts[out[lane]];
-  }
-  const double draws = static_cast<double>(kLanes) * kRounds;
-  EXPECT_EQ(counts[1], 0);
-  for (size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_NEAR(counts[i] / draws, weights[i] / 4.0, 0.02) << "bucket " << i;
-  }
-}
-
-void ExpectDrawResolvedManyMatchesPerLane(DecodeMode mode) {
+TEST(DecodeCacheTest, DrawResolvedManyMatchesPerLane) {
   NGramLm lm(32);
   ASSERT_TRUE(lm.Fit(SmallCorpus()).ok());
   std::vector<TokenId> candidates = {5, 6, 7, 8, 9, 10, 11};
 
-  DecodeCacheOptions options;
-  options.mode = mode;
-  DecodeCache cache(options);
+  DecodeCache cache{DecodeCacheOptions{}};
   AllowListId allow_id = cache.InternTransient(candidates);
   DecodeWorkspace ws;
 
@@ -506,14 +380,6 @@ void ExpectDrawResolvedManyMatchesPerLane(DecodeMode mode) {
   }
 }
 
-TEST(DecodeCacheTest, DrawResolvedManyMatchesPerLaneExactReplay) {
-  ExpectDrawResolvedManyMatchesPerLane(DecodeMode::kExactReplay);
-}
-
-TEST(DecodeCacheTest, DrawResolvedManyMatchesPerLaneAlias) {
-  ExpectDrawResolvedManyMatchesPerLane(DecodeMode::kAlias);
-}
-
 TEST(DecodeCacheTest, DrawResolvedManyZeroTotalDegradesLikePerLane) {
   // An unfitted LM over candidates it has never seen yields a zero-mass
   // restricted distribution; the vectorized path must degrade to the same
@@ -546,35 +412,6 @@ TEST(DecodeCacheTest, DrawResolvedManyZeroTotalDegradesLikePerLane) {
     for (size_t lane = 0; lane < kLanes; ++lane) {
       EXPECT_EQ(cache.DrawResolved(dist, candidates, &serial_rngs[lane]),
                 many[lane]);
-    }
-  }
-}
-
-TEST(DecodeCacheTest, AliasModeBatchedSamplingMatchesSerialEngine) {
-  // End-to-end: with kAlias grouped draws running through SampleMany, a
-  // batched synthesizer still reproduces the per-row kAlias output
-  // bitwise at every batch size.
-  Table train = SmallTable();
-  GreatSynthesizer::Options serial_options;
-  serial_options.decode_cache.mode = DecodeMode::kAlias;
-  GreatSynthesizer serial(serial_options);
-  Rng fit_serial(7);
-  ASSERT_TRUE(serial.Fit(train, &fit_serial).ok());
-  Rng r_serial(11);
-  Table reference = serial.Sample(24, &r_serial).ValueOrDie();
-
-  for (size_t batch : {3u, 8u, 64u}) {
-    GreatSynthesizer::Options options = serial_options;
-    options.batch_rows = batch;
-    GreatSynthesizer batched(options);
-    Rng fit_batched(7);
-    ASSERT_TRUE(batched.Fit(train, &fit_batched).ok());
-    Rng r_batched(11);
-    Table t = batched.Sample(24, &r_batched).ValueOrDie();
-    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
-    ASSERT_EQ(reference.num_rows(), t.num_rows());
-    for (size_t r = 0; r < reference.num_rows(); ++r) {
-      EXPECT_EQ(reference.GetRow(r), t.GetRow(r)) << "row " << r;
     }
   }
 }

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/artifact_io.h"
@@ -446,6 +448,71 @@ TEST_F(DurabilityTest, SynthesizerBundleTruncationSweepFailsTyped) {
         << "prefix length " << len << ": " << status.ToString();
     EXPECT_FALSE(loaded.fitted()) << "prefix length " << len;
   }
+}
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x00000100000001b3ull;
+  }
+  return h;
+}
+
+constexpr char kSynthesizerKind[] = "greater.great_synthesizer";
+
+TEST_F(DurabilityTest, DefaultOptionsArtifactBytesArePinned) {
+  // Artifacts written before the decode-mode option was removed must keep
+  // loading, so a default-options bundle keeps its kind, its version and
+  // every byte (the options codec still writes the mode byte as 0).
+  GreatSynthesizer synth;
+  Rng rng(3);
+  ASSERT_TRUE(synth.Fit(SmallTable(), &rng).ok());
+  std::string bytes = synth.SerializeBinary().ValueOrDie();
+  Result<ArtifactReader> doc =
+      ArtifactReader::Parse(bytes, kSynthesizerKind, 2);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->kind(), kSynthesizerKind);
+  EXPECT_EQ(doc->version(), 2u);
+  EXPECT_EQ(Fnv1a(bytes), 0xda31413d7b2b177bull) << bytes.size() << " bytes";
+}
+
+TEST_F(DurabilityTest, LegacyAliasDecodeModeFailsPrecondition) {
+  // A bundle saved with the removed alias draw mode (mode byte 1) must
+  // fail Load with a typed precondition error, not a crash and not a
+  // silent switch to exact replay.
+  GreatSynthesizer synth;
+  Rng rng(3);
+  ASSERT_TRUE(synth.Fit(SmallTable(), &rng).ok());
+  Result<ArtifactReader> doc = ArtifactReader::Parse(
+      synth.SerializeBinary().ValueOrDie(), kSynthesizerKind, 2);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+
+  // The options codec ends with: mode u8, cache_hidden_states bool,
+  // hidden_capacity u64, batch_rows u64.
+  ByteWriter tail;
+  GreatSynthesizer::AppendOptionsTo(synth.options(), &tail);
+  const size_t mode_offset = tail.bytes().size() - (1 + 1 + 8 + 8);
+  ASSERT_EQ(tail.bytes()[mode_offset], '\0');
+
+  // Rebuilding the document through ArtifactWriter recomputes every CRC,
+  // so only the patched byte differs from a valid bundle.
+  ArtifactWriter patched(kSynthesizerKind, doc->version());
+  for (const std::string& name : doc->chunk_names()) {
+    std::string payload(doc->Chunk(name).ValueOrDie());
+    if (name == "options") {
+      ASSERT_EQ(payload, tail.bytes());
+      payload[mode_offset] = 1;
+    }
+    patched.AddChunk(name, std::move(payload));
+  }
+  fs::path target = ScratchDir("legacy_mode") / "alias.bin";
+  Spit(target, patched.Finish());
+
+  GreatSynthesizer loaded;
+  Status status = loaded.Load(target.string());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+  EXPECT_FALSE(loaded.fitted());
 }
 
 TEST_F(DurabilityTest, RelationalSynthesizerSaveLoadSampleBitwise) {

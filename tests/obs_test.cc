@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -305,15 +306,28 @@ TEST_F(ObsPipelineTest, RunEmitsSpanTreeCoveringEveryStage) {
             0.9 * static_cast<double>(run->duration_ns));
   EXPECT_LE(stage_ns, run->duration_ns);
 
-  // Sampler and fit work nests under the owning stage.
-  uint64_t by_name_rows = 0;
+  // Sampler work nests under the owning stage: decode-engine chunk spans
+  // sit below stage.sample, and every requested row was one engine lane.
+  std::map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& span : snapshot.spans) by_id[span.id] = &span;
+  auto under_stage_sample = [&](const SpanRecord& span) {
+    for (auto it = by_id.find(span.parent_id); it != by_id.end();
+         it = by_id.find(it->second->parent_id)) {
+      if (it->second->name == "stage.sample") return true;
+    }
+    return false;
+  };
+  size_t batch_spans_under_sample = 0;
   for (const SpanRecord& span : snapshot.spans) {
-    if (span.name == "synth.row") ++by_name_rows;
+    if (span.name == "synth.batch" && under_stage_sample(span)) {
+      ++batch_spans_under_sample;
+    }
   }
-  EXPECT_GT(by_name_rows, 0u);
+  EXPECT_GT(batch_spans_under_sample, 0u);
   EXPECT_EQ(registry.GetCounter("pipeline.runs").Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("synth.rows_requested").Value(),
-            by_name_rows);
+  EXPECT_GT(registry.GetCounter("synth.rows_requested").Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("synth.batch.lanes").Value(),
+            registry.GetCounter("synth.rows_requested").Value());
 }
 
 TEST_F(ObsPipelineTest, DeterministicJsonIsByteIdenticalAcrossSeededRuns) {
