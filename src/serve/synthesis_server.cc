@@ -15,6 +15,9 @@
 namespace greater {
 namespace {
 
+constexpr const char* kClassNames[kNumRequestPriorities] = {
+    "interactive", "batch", "background"};
+
 // serve.* instrumentation; pointers cached once per process so request
 // hot paths pay one relaxed atomic op per event.
 struct ServeCounters {
@@ -34,13 +37,21 @@ struct ServeCounters {
   Counter* brownout_exited;
   Counter* evictions;
   Counter* reloads;
+  Counter* queue_full_waits;
   Gauge* queue_depth;
   Gauge* open_requests;
   Gauge* brownout;
   Gauge* resident_bundle_bytes;
   Histogram* latency_us;
   Histogram* interactive_latency_us;
+  Histogram* queue_us;
+  Histogram* window_us;
+  Histogram* decode_us;
   Histogram* lanes_per_batch;
+  /// Per-class admission queue gauges, named as the streaming layer names
+  /// a queue called "serve.admission.<class>".
+  std::array<Gauge*, kNumRequestPriorities> class_depth;
+  std::array<Gauge*, kNumRequestPriorities> class_peak;
   ServeCounters() {
     MetricsRegistry& registry = MetricsRegistry::Global();
     requests = &registry.GetCounter("serve.requests");
@@ -60,6 +71,7 @@ struct ServeCounters {
     brownout_exited = &registry.GetCounter("serve.brownout_exited");
     evictions = &registry.GetCounter("serve.evictions");
     reloads = &registry.GetCounter("serve.reloads");
+    queue_full_waits = &registry.GetCounter("stream.queue_full_waits");
     queue_depth = &registry.GetGauge("serve.queue_depth");
     open_requests = &registry.GetGauge("serve.open_requests");
     brownout = &registry.GetGauge("serve.brownout");
@@ -68,9 +80,18 @@ struct ServeCounters {
     latency_us = &registry.GetLatencyHistogram("serve.request_latency_us");
     interactive_latency_us =
         &registry.GetLatencyHistogram("serve.interactive_latency_us");
+    queue_us = &registry.GetLatencyHistogram("serve.phase.queue_us");
+    window_us = &registry.GetLatencyHistogram("serve.phase.window_us");
+    decode_us = &registry.GetLatencyHistogram("serve.phase.decode_us");
     lanes_per_batch = &registry.GetHistogram(
         "serve.lanes_per_batch",
         {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
+    for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+      const std::string queue =
+          std::string("serve.admission.") + kClassNames[cls];
+      class_depth[cls] = &registry.GetGauge("stream.queue_depth." + queue);
+      class_peak[cls] = &registry.GetGauge("stream.queue_peak." + queue);
+    }
   }
 };
 
@@ -78,9 +99,6 @@ const ServeCounters& GetServeCounters() {
   static const ServeCounters counters;
   return counters;
 }
-
-constexpr const char* kClassNames[kNumRequestPriorities] = {
-    "interactive", "batch", "background"};
 
 }  // namespace
 
@@ -112,10 +130,19 @@ void RequestTicket::Cancel() {
 // SynthesisServer
 
 SynthesisServer::SynthesisServer(const ServeOptions& options)
-    : options_(options) {}
+    : options_(options), rr_budget_(options.priority_weights[0]) {}
 
 SynthesisServer::~SynthesisServer() {
   if (started_ && !finished_) Shutdown();
+}
+
+void SynthesisServer::FailureHook::Poison(Status error) {
+  {
+    std::lock_guard<std::mutex> lock(server_->sched_mu_);
+    if (server_->failure_.ok()) server_->failure_ = std::move(error);
+  }
+  server_->sched_cv_.notify_all();
+  server_->space_cv_.notify_all();
 }
 
 uint64_t SynthesisServer::NowNs() const {
@@ -201,16 +228,11 @@ Status SynthesisServer::Start() {
   stream_options.watchdog_timeout_ms = options_.watchdog_timeout_ms;
   stream_options.watchdog_poll_ms = options_.watchdog_poll_ms;
   runtime_ = std::make_unique<StreamRuntime>(stream_options);
+  runtime_->RegisterQueue(&failure_hook_);
   for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
-    admission_[cls] =
-        std::make_unique<BoundedQueue<std::shared_ptr<RequestTicket>>>(
-            std::string("serve.admission.") + kClassNames[cls],
-            options_.admission_capacity);
-    runtime_->RegisterQueue(admission_[cls].get());
+    GetServeCounters().class_depth[cls]->Set(0.0);
+    GetServeCounters().class_peak[cls]->Set(0.0);
   }
-  Heartbeat* admit_hb = runtime_->AddHeartbeat("serve.admitter");
-  runtime_->Spawn("serve.admitter", admit_hb,
-                  [this, admit_hb] { return AdmitterLoop(admit_hb); });
   for (size_t w = 0; w < std::max<size_t>(1, options_.num_workers); ++w) {
     Heartbeat* hb =
         runtime_->AddHeartbeat("serve.worker." + std::to_string(w));
@@ -344,11 +366,9 @@ void SynthesisServer::PruneWorkerSpaces(
   }
 }
 
-size_t SynthesisServer::QueuedDepth() const {
+size_t SynthesisServer::QueuedDepthLocked() const {
   size_t depth = 0;
-  for (const auto& queue : admission_) {
-    if (queue != nullptr) depth += queue->depth();
-  }
+  for (const auto& queue : queued_) depth += queue.size();
   return depth;
 }
 
@@ -357,7 +377,7 @@ void SynthesisServer::UpdatePressureLocked(uint64_t now_ns) {
   const bool lanes_cfg = options_.brownout_lanes_high > 0;
   if (!queue_cfg && !lanes_cfg) return;
   const ServeCounters& counters = GetServeCounters();
-  const size_t queued = QueuedDepth();
+  const size_t queued = QueuedDepthLocked();
   size_t lanes = 0;
   for (const auto& ticket : open_) {
     lanes += ticket->request_.rows - ticket->rows_packed_;
@@ -503,87 +523,108 @@ std::shared_ptr<RequestTicket> SynthesisServer::Submit(
     return ticket;
   }
 
-  // Quota gate + admission accounting, atomically under the scheduler
-  // lock: charge the token bucket, reserve the open lanes, and join the
-  // live set.
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    const uint64_t now_ns = NowNs();
-    Status quota = AdmitQuotaLocked(tenant, ticket->request_.tenant,
-                                    ticket->request_.rows, now_ns);
-    if (!quota.ok()) {
-      return FailTicket(std::move(ticket), std::move(quota),
-                        TerminalClass::kQuotaRejected);
-    }
-    tenant->inflight += 1;
-    tenant->open_lanes += ticket->request_.rows;
-    live_.push_back(ticket);
-    counters.admitted->Increment();
-    UpdatePressureLocked(now_ns);
+  // Quota gate, admission accounting and enqueue, in one scheduler-lock
+  // section: charge the token bucket, reserve the open lanes, join the
+  // live set, and wait for room in the class queue.
+  std::unique_lock<std::mutex> lock(sched_mu_);
+  const uint64_t now_ns = NowNs();
+  Status quota = AdmitQuotaLocked(tenant, ticket->request_.tenant,
+                                  ticket->request_.rows, now_ns);
+  if (!quota.ok()) {
+    lock.unlock();
+    return FailTicket(std::move(ticket), std::move(quota),
+                      TerminalClass::kQuotaRejected);
   }
+  tenant->inflight += 1;
+  tenant->open_lanes += ticket->request_.rows;
+  live_.push_back(ticket);
+  counters.admitted->Increment();
 
+  // Backpressure: wait for room in the class queue, or refuse typed.
   const size_t cls = std::min<size_t>(
       static_cast<size_t>(ticket->request_.priority),
       kNumRequestPriorities - 1);
-  BoundedQueue<std::shared_ptr<RequestTicket>>& queue = *admission_[cls];
-  counters.queue_depth->Add(1.0);
-  QueuePush pushed;
-  {
-    std::shared_ptr<RequestTicket> copy = ticket;
+  std::deque<std::shared_ptr<RequestTicket>>& queue = queued_[cls];
+  const size_t capacity = std::max<size_t>(1, options_.admission_capacity);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options_.admission_wait_ms);
+  Status refused;
+  TerminalClass refused_class = TerminalClass::kFailed;
+  for (;;) {
+    // Stopped while (or before) we waited: fail typed with the runtime
+    // error when there is one.
+    if (!failure_.ok()) {
+      refused = failure_;
+    } else if (closed_) {
+      refused = Status::FailedPrecondition("server stopped accepting requests");
+    } else if (queue.size() < capacity) {
+      break;
+    } else if (FaultRegistry::AnyArmed()) {
+      refused = FaultRegistry::Global().Check("stream.queue_full");
+    }
+    if (!refused.ok()) break;
+    if (options_.admission_wait_ms > 0 &&
+        std::chrono::steady_clock::now() >= deadline) {
+      // Bounded-wait admission timed out: shed this request typed, with a
+      // hint for when to come back.
+      refused = Status::ResourceExhausted(
+                    std::string("request shed: admission queue "
+                                "'serve.admission.") +
+                    kClassNames[cls] + "' still full after " +
+                    std::to_string(options_.admission_wait_ms) + " ms")
+                    .WithRetryAfter(options_.shed_retry_after_ms);
+      refused_class = TerminalClass::kShed;
+      break;
+    }
+    counters.queue_full_waits->Increment();
     if (options_.admission_wait_ms == 0) {
-      // Legacy blocking backpressure: park until the class queue frees up.
-      pushed = queue.Push(std::move(copy)) ? QueuePush::kAccepted
-                                           : QueuePush::kDone;
+      space_cv_.wait(lock);  // blocking backpressure
     } else {
-      pushed = queue.PushFor(options_.admission_wait_ms, &copy);
+      space_cv_.wait_until(lock, deadline);
     }
   }
-  if (pushed == QueuePush::kAccepted) return ticket;
-  counters.queue_depth->Add(-1.0);
-  RemoveLive(ticket.get());
-  if (pushed == QueuePush::kFull) {
-    // Bounded-wait admission timed out: shed this request typed, with a
-    // hint for when to come back.
-    return FailTicket(
-        std::move(ticket),
-        Status::ResourceExhausted(
-            "request shed: admission queue '" + queue.name() +
-            "' still full after " +
-            std::to_string(options_.admission_wait_ms) + " ms")
-            .WithRetryAfter(options_.shed_retry_after_ms),
-        TerminalClass::kShed);
+  if (!refused.ok()) {
+    RemoveLiveLockedHeld(ticket.get());
+    lock.unlock();
+    return FailTicket(std::move(ticket), std::move(refused), refused_class);
   }
-  // Closed or poisoned while (or before) we blocked: fail typed with the
-  // runtime error when there is one.
-  Status cause = runtime_->error();
-  return FailTicket(std::move(ticket),
-                    cause.ok() ? Status::FailedPrecondition(
-                                     "server stopped accepting requests")
-                               : cause,
-                    TerminalClass::kFailed);
+  queue.push_back(ticket);
+  if (static_cast<double>(queue.size()) > counters.class_peak[cls]->Value()) {
+    counters.class_peak[cls]->Set(static_cast<double>(queue.size()));
+  }
+  PublishQueueGaugesLocked();
+  UpdatePressureLocked(NowNs());
+  lock.unlock();
+  sched_cv_.notify_one();
+  return ticket;
 }
 
 // ---------------------------------------------------------------------------
-// Admission (admitter thread)
+// Admission (worker threads, under sched_mu_)
 
-void SynthesisServer::ShedQueuedOverflow() {
-  if (options_.shed_queue_depth == 0) return;
-  const ServeCounters& counters = GetServeCounters();
-  while (QueuedDepth() > options_.shed_queue_depth) {
+void SynthesisServer::PublishQueueGaugesLocked() {
+  for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+    GetServeCounters().class_depth[cls]->Set(
+        static_cast<double>(queued_[cls].size()));
+  }
+  GetServeCounters().queue_depth->Set(
+      static_cast<double>(QueuedDepthLocked()));
+}
+
+bool SynthesisServer::ShedQueuedOverflowLocked() {
+  if (options_.shed_queue_depth == 0) return false;
+  bool shed = false;
+  while (QueuedDepthLocked() > options_.shed_queue_depth) {
     // Lowest class first: background, then batch. Interactive work is
     // never shed from the queue — if only interactive remains above the
     // watermark, it stays queued (bounded by the class queue capacity).
-    std::shared_ptr<RequestTicket> victim;
-    bool popped_one = false;
-    for (size_t cls = kNumRequestPriorities; cls-- > 1;) {
-      if (admission_[cls]->PopFor(0, &victim) == QueuePop::kItem) {
-        popped_one = true;
-        break;
-      }
-    }
-    if (!popped_one) return;
-    counters.queue_depth->Add(-1.0);
-    RemoveLive(victim.get());
+    size_t cls = kNumRequestPriorities - 1;
+    while (cls > 0 && queued_[cls].empty()) --cls;
+    if (cls == 0) break;
+    std::shared_ptr<RequestTicket> victim = std::move(queued_[cls].front());
+    queued_[cls].pop_front();
+    shed = true;
+    RemoveLiveLockedHeld(victim.get());
     FailTicket(std::move(victim),
                Status::ResourceExhausted(
                    "request shed: admission backlog exceeds shed watermark "
@@ -592,6 +633,7 @@ void SynthesisServer::ShedQueuedOverflow() {
                    .WithRetryAfter(options_.shed_retry_after_ms),
                TerminalClass::kShed);
   }
+  return shed;
 }
 
 void SynthesisServer::InsertOpenLocked(std::shared_ptr<RequestTicket> ticket) {
@@ -607,96 +649,68 @@ void SynthesisServer::InsertOpenLocked(std::shared_ptr<RequestTicket> ticket) {
   open_.insert(it, std::move(ticket));
 }
 
-Status SynthesisServer::AdmitterLoop(Heartbeat* hb) {
-  const ServeCounters& counters = GetServeCounters();
-  std::array<bool, kNumRequestPriorities> drained{};
-  size_t rr_class = 0;
-  uint32_t rr_budget = options_.priority_weights[0];
-  for (;;) {
-    hb->Beat();
-    if (!runtime_->error().ok()) break;
-    ShedQueuedOverflow();
-    // Respect the packing window: while it is full the request stays in
-    // its bounded class queue, which is what makes Submit block —
-    // admission capacity plus window size bound the buffered requests.
-    {
-      std::unique_lock<std::mutex> lock(sched_mu_);
-      UpdatePressureLocked(NowNs());
-      if (open_.size() >= options_.max_open_requests) {
-        sched_cv_.wait_for(
-            lock, std::chrono::milliseconds(options_.idle_poll_ms), [&] {
-              return open_.size() < options_.max_open_requests;
-            });
-        continue;
-      }
+size_t SynthesisServer::NextAdmitClassLocked() {
+  // Weighted round-robin over the class queues: class c is offered up to
+  // priority_weights[c] admissions per cycle while it has queued work;
+  // empty (or zero-weight) classes forfeit their share, so no bandwidth is
+  // wasted on idle classes. After Shutdown zero-weight classes get a share
+  // so they drain; the scan ends on its start class with a fresh share.
+  for (size_t scanned = 0; scanned <= kNumRequestPriorities;) {
+    if (rr_budget_ == 0) {
+      rr_class_ = (rr_class_ + 1) % kNumRequestPriorities;
+      rr_budget_ = std::max<uint32_t>(options_.priority_weights[rr_class_],
+                                      closed_ ? 1 : 0);
+      ++scanned;
+      continue;
     }
-    // Weighted round-robin over the class queues: class c is offered up
-    // to priority_weights[c] admissions per cycle while it has queued
-    // work; empty (or zero-weight) classes forfeit their share, so no
-    // bandwidth is wasted on idle classes.
-    std::shared_ptr<RequestTicket> ticket;
-    bool got = false;
-    for (size_t scanned = 0; scanned < kNumRequestPriorities && !got;) {
-      if (rr_budget == 0) {
-        rr_class = (rr_class + 1) % kNumRequestPriorities;
-        rr_budget = options_.priority_weights[rr_class];
-        ++scanned;
-        continue;
-      }
-      QueuePop popped = admission_[rr_class]->PopFor(0, &ticket);
-      if (popped == QueuePop::kItem) {
-        got = true;
-        --rr_budget;
-        break;
-      }
-      if (popped == QueuePop::kDone) drained[rr_class] = true;
-      rr_budget = 0;  // empty: forfeit the rest of this class's share
+    if (!queued_[rr_class_].empty()) {
+      --rr_budget_;
+      return rr_class_;
     }
-    if (!got) {
-      if (drained[0] && drained[1] && drained[2]) break;
-      // Idle: park on the highest-priority still-open queue so new work
-      // wakes us promptly; other classes are picked up within
-      // idle_poll_ms.
-      size_t park = 0;
-      while (park < kNumRequestPriorities && drained[park]) ++park;
-      QueuePop popped = admission_[park]->PopFor(options_.idle_poll_ms,
-                                                 &ticket);
-      if (popped == QueuePop::kDone) {
-        drained[park] = true;
-        continue;
-      }
-      if (popped != QueuePop::kItem) continue;
-    }
-    counters.queue_depth->Add(-1.0);
-    {
-      std::lock_guard<std::mutex> lock(sched_mu_);
-      InsertOpenLocked(std::move(ticket));
-      counters.open_requests->Set(static_cast<double>(open_.size()));
-    }
-    sched_cv_.notify_all();
+    rr_budget_ = 0;  // empty: forfeit the rest of this class's share
   }
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    admitter_done_ = true;
+  return kNumRequestPriorities;
+}
+
+void SynthesisServer::AdmitLocked() {
+  bool dequeued = ShedQueuedOverflowLocked();
+  const uint64_t now_ns = NowNs();
+  UpdatePressureLocked(now_ns);
+  // Respect the packing window: while it is full the request stays in its
+  // bounded class queue, which is what makes Submit block — admission
+  // capacity plus window size bound the buffered requests.
+  while (open_.size() < options_.max_open_requests) {
+    const size_t cls = NextAdmitClassLocked();
+    if (cls == kNumRequestPriorities) break;
+    std::shared_ptr<RequestTicket> ticket = std::move(queued_[cls].front());
+    queued_[cls].pop_front();
+    ticket->admit_ns_ = now_ns;
+    InsertOpenLocked(std::move(ticket));
+    dequeued = true;
   }
-  sched_cv_.notify_all();
-  return Status::OK();
+  if (!dequeued) return;
+  PublishQueueGaugesLocked();
+  GetServeCounters().open_requests->Set(static_cast<double>(open_.size()));
+  space_cv_.notify_all();
+}
+
+bool SynthesisServer::CanAdmitLocked() const {
+  if (open_.size() >= options_.max_open_requests) return false;
+  for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+    if (!queued_[cls].empty() &&
+        (closed_ || options_.priority_weights[cls] > 0)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool SynthesisServer::DrainedLocked() const {
+  return closed_ && open_.empty() && QueuedDepthLocked() == 0;
 }
 
 // ---------------------------------------------------------------------------
 // Packing and decoding (worker threads)
-
-bool SynthesisServer::HasWorkLocked() const {
-  const uint64_t now_ns = NowNs();
-  for (const auto& ticket : open_) {
-    if (ticket->cancelled_.load(std::memory_order_relaxed)) return true;
-    if (ticket->deadline_ns_ != 0 && now_ns >= ticket->deadline_ns_) {
-      return true;  // overdue: the sweep has a conviction to finalize
-    }
-    if (ticket->rows_packed_ < ticket->request_.rows) return true;
-  }
-  return false;
-}
 
 bool SynthesisServer::PackBundleLocked(Bundle* bundle) {
   const ServeCounters& counters = GetServeCounters();
@@ -747,12 +761,7 @@ bool SynthesisServer::PackBundleLocked(Bundle* bundle) {
       it = open_.erase(it);
       continue;
     }
-    size_t unpacked = ticket.request_.rows - ticket.rows_packed_;
-    if (unpacked == 0) {
-      // Fully packed; completion happens on delivery.
-      it = open_.erase(it);
-      continue;
-    }
+    const size_t unpacked = ticket.request_.rows - ticket.rows_packed_;
     if (bundle->model != nullptr &&
         ticket.model_.get() != bundle->model.get()) {
       ++it;  // different model snapshot: waits for its own batch
@@ -780,6 +789,7 @@ bool SynthesisServer::PackBundleLocked(Bundle* bundle) {
       bundle->generation = ticket.generation_;
     }
     size_t take = std::min(unpacked, lane_budget - bundle->lanes);
+    if (ticket.rows_packed_ == 0) ticket.first_pack_ns_ = now_ns;
     bundle->slices.push_back(
         Slice{*it, ticket.rows_packed_, ticket.rows_packed_ + take});
     ticket.rows_packed_ += take;
@@ -798,13 +808,6 @@ Status SynthesisServer::WorkerLoop(Heartbeat* hb) {
   std::unordered_map<uint64_t, WorkerSpace> spaces;
   for (;;) {
     hb->Beat();
-    Status err = runtime_->error();
-    if (!err.ok()) {
-      // First worker to notice the failure sweeps the pending tickets so
-      // waiters unblock without needing Shutdown to run first.
-      FailAllPending(err);
-      return Status::OK();
-    }
     // Silent-death hook (watchdog conviction test): stop heartbeating and
     // exit without reporting, exactly like the streaming stages.
     if (FaultRegistry::AnyArmed()) {
@@ -815,25 +818,48 @@ Status SynthesisServer::WorkerLoop(Heartbeat* hb) {
       }
     }
     Bundle bundle;
-    bool drained = false;
+    Status failure;
+    bool wake_peer = false;
     {
       std::unique_lock<std::mutex> lock(sched_mu_);
-      sched_cv_.wait_for(lock,
-                         std::chrono::milliseconds(options_.idle_poll_ms),
-                         [&] { return admitter_done_ || HasWorkLocked(); });
-      if (!PackBundleLocked(&bundle)) {
-        drained = admitter_done_ && open_.empty();
+      for (;;) {
+        failure = failure_;
+        if (!failure.ok()) break;
+        AdmitLocked();
+        if (PackBundleLocked(&bundle)) {
+          // Refill the window slots this pack freed, and hand whatever is
+          // still packable to a parked peer while this worker decodes.
+          AdmitLocked();
+          wake_peer = !open_.empty();
+          break;
+        }
+        if (DrainedLocked()) {
+          lock.unlock();
+          sched_cv_.notify_all();  // parked peers are drained too
+          return Status::OK();
+        }
+        // Idle: park until a submit, a pack that left work behind,
+        // Shutdown or a runtime failure wakes us. The timeout only
+        // re-beats the heartbeat; no work ever waits on it.
+        sched_cv_.wait_for(
+            lock, std::chrono::milliseconds(options_.idle_poll_ms), [&] {
+              return !failure_.ok() || !open_.empty() || DrainedLocked() ||
+                     CanAdmitLocked();
+            });
+        hb->Beat();
       }
     }
-    if (bundle.lanes > 0) {
-      RunBundle(&bundle, &spaces);
-      if (options_.max_resident_bundle_bytes > 0) {
-        PruneWorkerSpaces(&spaces);
-      }
-      sched_cv_.notify_all();  // window space freed; wake the admitter
-      continue;
+    if (!failure.ok()) {
+      // First worker to notice the failure sweeps the pending tickets so
+      // waiters unblock without needing Shutdown to run first.
+      FailAllPending(failure);
+      return Status::OK();
     }
-    if (drained) return Status::OK();
+    if (wake_peer) sched_cv_.notify_one();
+    RunBundle(&bundle, &spaces);
+    if (options_.max_resident_bundle_bytes > 0) {
+      PruneWorkerSpaces(&spaces);
+    }
   }
 }
 
@@ -921,7 +947,10 @@ void SynthesisServer::DeliverSlice(const Slice& slice,
   // a waiter that saw Wait() return must be able to admit a follow-up
   // request into the freed capacity immediately. (Lock order forbids
   // taking sched_mu_ while holding the ticket's mu_, hence two sections.)
-  RemoveLive(&ticket);
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    RemoveLiveLockedHeld(&ticket);
+  }
   {
     std::lock_guard<std::mutex> lock(ticket.mu_);
     // A concurrent failure sweep (FailAllPending) may have gone terminal
@@ -975,11 +1004,27 @@ void SynthesisServer::CompleteTicketLocked(RequestTicket* ticket,
                                            Status status, TerminalClass cls) {
   const ServeCounters& counters = GetServeCounters();
   const uint64_t now_ns = NowNs();
-  ticket->latency_us_ = now_ns > ticket->submit_ns_
-                            ? (now_ns - ticket->submit_ns_) / 1000
-                            : 0;
-  const double latency = static_cast<double>(ticket->latency_us_);
+  // Each stamp becomes whole µs since submit once, so the phases telescope
+  // to the latency exactly; a stamp never reached reads as the terminal one.
+  const auto at_us = [&](uint64_t stamp_ns) -> uint64_t {
+    if (stamp_ns == 0) stamp_ns = now_ns;
+    return stamp_ns > ticket->submit_ns_
+               ? (stamp_ns - ticket->submit_ns_) / 1000
+               : 0;
+  };
+  const uint64_t latency_us = at_us(now_ns);
+  const uint64_t admit_us = std::min(at_us(ticket->admit_ns_), latency_us);
+  const uint64_t pack_us =
+      std::clamp(at_us(ticket->first_pack_ns_), admit_us, latency_us);
+  ticket->done_ns_ = now_ns;
+  ticket->latency_us_ = latency_us;
+  ticket->phases_ = RequestTicket::Phases{admit_us, pack_us - admit_us,
+                                          latency_us - pack_us};
+  const double latency = static_cast<double>(latency_us);
   counters.latency_us->Observe(latency);
+  counters.queue_us->Observe(static_cast<double>(ticket->phases_.queue_us));
+  counters.window_us->Observe(static_cast<double>(ticket->phases_.window_us));
+  counters.decode_us->Observe(static_cast<double>(ticket->phases_.decode_us));
   switch (cls) {
     case TerminalClass::kCompleted:
       counters.completed->Increment();
@@ -1022,11 +1067,6 @@ std::shared_ptr<RequestTicket> SynthesisServer::FailTicket(
   return ticket;
 }
 
-void SynthesisServer::RemoveLive(const RequestTicket* ticket) {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  RemoveLiveLockedHeld(ticket);
-}
-
 void SynthesisServer::RemoveLiveLockedHeld(const RequestTicket* ticket) {
   for (auto it = live_.begin(); it != live_.end(); ++it) {
     if (it->get() == ticket) {
@@ -1062,6 +1102,8 @@ void SynthesisServer::FailAllPending(const Status& error) {
     }
     pending.swap(live_);
     open_.clear();
+    for (auto& queue : queued_) queue.clear();
+    PublishQueueGaugesLocked();
     GetServeCounters().open_requests->Set(0.0);
   }
   for (const auto& ticket : pending) {
@@ -1081,10 +1123,12 @@ Status SynthesisServer::Shutdown() {
     return Status::FailedPrecondition("Shutdown before Start");
   }
   if (finished_) return final_status_;
-  for (const auto& queue : admission_) {
-    if (queue != nullptr) queue->Close();
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    closed_ = true;
   }
   sched_cv_.notify_all();
+  space_cv_.notify_all();
   final_status_ = runtime_->Finish();
   // A clean drain leaves nothing behind; a failed one (or a convicted
   // worker holding a bundle) leaves tickets that must not hang their

@@ -111,8 +111,9 @@ struct ServeOptions {
   /// Watchdog conviction deadline for a worker stalled inside one batch.
   uint64_t watchdog_timeout_ms = 30000;
   uint64_t watchdog_poll_ms = 10;
-  /// Idle wake period: parked workers re-beat their heartbeat and re-scan
-  /// for work (new requests, cancellations) this often.
+  /// Liveness beat: a parked worker wakes this often only to re-beat its
+  /// heartbeat (and to let a brownout exit once its dwell has passed). Work
+  /// never waits on it — Submit, packing and Shutdown wake workers directly.
   uint64_t idle_poll_ms = 5;
 
   // Overload control ---------------------------------------------------------
@@ -125,12 +126,12 @@ struct ServeOptions {
   /// {interactive, batch, background}. Per cycle, class c is offered up to
   /// priority_weights[c] admissions while its queue has work; empty
   /// classes forfeit their share. Guarantees progress for every class
-  /// with a nonzero weight (weight 0 starves that class deliberately).
+  /// with a nonzero weight; weight 0 starves a class until Shutdown.
   std::array<uint32_t, kNumRequestPriorities> priority_weights = {8, 2, 1};
   /// Queue-depth shed watermark: while the total queued (not yet admitted)
-  /// requests across all classes exceed this, the admitter sheds queued
-  /// work lowest-class-first — background, then batch, NEVER interactive.
-  /// 0 disables shedding.
+  /// requests across all classes exceed this, the next worker to admit
+  /// sheds queued work lowest-class-first — background, then batch, NEVER
+  /// interactive. 0 disables shedding.
   size_t shed_queue_depth = 0;
   /// Retry-after hint attached to shed rejections.
   uint64_t shed_retry_after_ms = 50;
@@ -209,6 +210,24 @@ class RequestTicket {
   /// Submit-to-terminal latency. Read only after done().
   uint64_t latency_us() const { return latency_us_; }
 
+  /// latency_us() split at the scheduler's stamps, all from the server
+  /// clock: queue = submit to admission into the packing window, window =
+  /// admission to the first packed lanes, decode = first pack to terminal
+  /// (batches, delivery and table assembly). The three sum to latency_us()
+  /// exactly; a phase the request never reached reads 0 (a request shed
+  /// from its queue spends its whole latency in `queue_us`).
+  struct Phases {
+    uint64_t queue_us = 0;
+    uint64_t window_us = 0;
+    uint64_t decode_us = 0;
+  };
+  /// Read only after done().
+  const Phases& phases() const { return phases_; }
+
+  /// Server-clock stamp (ns) at which the request went terminal; orders
+  /// completions across tickets. Read only after done().
+  uint64_t done_ns() const { return done_ns_; }
+
   RequestPriority priority() const { return request_.priority; }
 
  private:
@@ -232,9 +251,13 @@ class RequestTicket {
 
   std::atomic<bool> cancelled_{false};
 
-  /// Rows handed to packed batches so far. Guarded by the server's
-  /// scheduler mutex, not mu_ (only the packing sweep touches it).
+  // Guarded by the server's scheduler mutex, not mu_ ------------------------
+  /// Rows handed to packed batches so far.
   size_t rows_packed_ = 0;
+  /// Server-clock stamps of window admission and of the first packed
+  /// lanes; 0 until reached.
+  uint64_t admit_ns_ = 0;
+  uint64_t first_pack_ns_ = 0;
 
   // Guarded by mu_ -----------------------------------------------------------
   mutable std::mutex mu_;
@@ -245,14 +268,17 @@ class RequestTicket {
   SampleReport report_;
   Result<Table> result_;
   uint64_t latency_us_ = 0;
+  Phases phases_;
+  uint64_t done_ns_ = 0;
 };
 
 /// Multi-tenant synthesis service: N named GreatSynthesizer bundles served
 /// as immutable shared models, per-priority bounded admission queues in
-/// front of a cross-request packing window, and sampler workers that pack
-/// lanes from every same-model open request into shared BatchDecodeEngine
-/// batches — one grouped model evaluation per (context, allow-list) key
-/// per step across ALL packed requests, not per request.
+/// front of a cross-request packing window, and sampler workers that admit
+/// from those queues and pack lanes from every same-model open request
+/// into shared BatchDecodeEngine batches — one grouped model evaluation
+/// per (context, allow-list) key per step across ALL packed requests, not
+/// per request.
 ///
 /// Overload control (DESIGN.md, "Overload control & graceful
 /// degradation"): admission is priority-aware (weighted round-robin over
@@ -265,21 +291,23 @@ class RequestTicket {
 /// next request. None of this changes served bytes: an admitted request's
 /// output stays bitwise-identical to a direct Sample call.
 ///
-/// Threading: Submit is safe from any number of threads (it blocks on the
-/// admission queue when full — backpressure, never unbounded buffering —
-/// or sheds after admission_wait_ms when configured). Tenant registration
-/// happens before Start. Worker liveness runs on the streaming watchdog: a
-/// worker stalled inside a batch past watchdog_timeout_ms fails the server
-/// with kDeadlineExceeded, every queue is poisoned, and all pending
-/// tickets complete with that error.
+/// Threading: Submit is safe from any number of threads (it blocks while
+/// its class queue is full — backpressure, never unbounded buffering — or
+/// sheds after admission_wait_ms when configured). Tenants register before
+/// Start. Sampler workers admit, shed and pack under one scheduler lock,
+/// then decode outside it. Worker liveness runs on the streaming watchdog:
+/// a worker stalled in a batch past watchdog_timeout_ms fails the server
+/// with kDeadlineExceeded, blocked submitters wake, and pending tickets
+/// complete with that error.
 ///
 /// Fault points: "serve.admit" fires per Submit (the request is rejected
-/// typed before entering the queue); "serve.pack" fires once per request
-/// as its first lanes are packed (the request fails typed; co-scheduled
-/// requests are untouched); "serve.evict" fires per eviction candidate
-/// (a fired fault aborts that eviction sweep — the bundle stays resident);
-/// "serve.reload" fires per evicted-bundle reload (the submit that needed
-/// the reload fails typed). See common/fault.h.
+/// typed before entering the queue); "stream.queue_full" fires each time a
+/// Submit finds its class queue full (that submit fails typed);
+/// "serve.pack" fires once per request as its first lanes are packed (the
+/// request fails typed; co-scheduled requests are untouched); "serve.evict"
+/// fires per eviction candidate (a fired fault aborts that eviction sweep —
+/// the bundle stays resident); "serve.reload" fires per evicted-bundle
+/// reload (the submit needing it fails typed). See common/fault.h.
 class SynthesisServer {
  public:
   explicit SynthesisServer(const ServeOptions& options);
@@ -303,11 +331,11 @@ class SynthesisServer {
   /// Before Start() only.
   Status SetTenantQuota(const std::string& name, TenantQuota quota);
 
-  /// Spawns the admitter, sampler workers, and watchdog. Requires at
-  /// least one tenant.
+  /// Spawns the sampler workers and the watchdog. Requires at least one
+  /// tenant.
   Status Start();
 
-  /// Submits a request. Never blocks on decoding — only on admission-queue
+  /// Submits a request. Never blocks on decoding — only on class-queue
   /// backpressure (bounded by admission_wait_ms when set). The returned
   /// ticket is terminal-typed on every failure path (unknown tenant,
   /// injected admission fault, over-quota, shed, server stopped), so
@@ -388,16 +416,36 @@ class SynthesisServer {
     kQuotaRejected,  ///< never admitted: over quota (serve.quota_rejected)
   };
 
+  /// Registered with the stream runtime in place of a queue: the
+  /// runtime's first failure (watchdog conviction, a failed worker) is
+  /// recorded under sched_mu_ and wakes every parked worker and submitter.
+  class FailureHook final : public QueueControl {
+   public:
+    explicit FailureHook(SynthesisServer* server) : server_(server) {}
+    void Poison(Status error) override;
+
+   private:
+    SynthesisServer* const server_;
+  };
+
   uint64_t NowNs() const;
 
-  Status AdmitterLoop(Heartbeat* hb);
   Status WorkerLoop(Heartbeat* hb);
 
+  /// Sheds queue overflow, then fills the packing window from the class
+  /// queues by weighted round-robin.
+  void AdmitLocked();
+  /// Next class the weighted round-robin admits from, advancing the
+  /// rotation; kNumRequestPriorities when no class can admit.
+  size_t NextAdmitClassLocked();
   /// Total requests queued (not yet admitted) across the class queues.
-  size_t QueuedDepth() const;
-  /// Sheds queued work lowest-class-first while QueuedDepth() exceeds the
-  /// shed watermark. Never sheds interactive requests. Admitter-only.
-  void ShedQueuedOverflow();
+  size_t QueuedDepthLocked() const;
+  /// Sheds queued work lowest-class-first while QueuedDepthLocked()
+  /// exceeds the shed watermark; true if it shed any. Never sheds
+  /// interactive requests.
+  bool ShedQueuedOverflowLocked();
+  /// Refreshes the serve.queue_depth and per-class stream.queue_* gauges.
+  void PublishQueueGaugesLocked();
   /// Inserts an admitted ticket into the packing window, keeping the
   /// window ordered by (priority class, admission order).
   void InsertOpenLocked(std::shared_ptr<RequestTicket> ticket);
@@ -434,8 +482,10 @@ class SynthesisServer {
   /// open request of that model, window order first. True when the bundle
   /// has lanes.
   bool PackBundleLocked(Bundle* bundle);
-  /// True when the packing sweep would find anything to do.
-  bool HasWorkLocked() const;
+  /// True when AdmitLocked would move a queued request into the window.
+  bool CanAdmitLocked() const;
+  /// Shutdown began and every queued and admitted request has been packed.
+  bool DrainedLocked() const;
 
   void RunBundle(Bundle* bundle,
                  std::unordered_map<uint64_t, WorkerSpace>* spaces);
@@ -457,9 +507,7 @@ class SynthesisServer {
   /// Fails every in-flight ticket with `error` — the runtime-failure and
   /// shutdown sweep. Idempotent; skips terminal tickets.
   void FailAllPending(const Status& error);
-  void RemoveLive(const RequestTicket* ticket);
-  /// RemoveLive body for callers already holding sched_mu_: erases the
-  /// ticket from the live set and releases its tenant admission
+  /// Erases the ticket from the live set and releases its tenant admission
   /// accounting (inflight, open lanes), then re-checks eviction pressure.
   void RemoveLiveLockedHeld(const RequestTicket* ticket);
 
@@ -473,23 +521,33 @@ class SynthesisServer {
   Status final_status_;
   uint64_t generation_counter_ = 0;
 
-  /// One bounded admission queue per priority class.
-  std::array<std::unique_ptr<BoundedQueue<std::shared_ptr<RequestTicket>>>,
-             kNumRequestPriorities>
-      admission_;
+  FailureHook failure_hook_{this};
   std::unique_ptr<StreamRuntime> runtime_;
 
-  /// Scheduler state: the packing window (priority-then-admission
+  /// Scheduler state: the per-class admission queues, the weighted
+  /// round-robin cursor, the packing window (priority-then-admission
   /// ordered), the set of every non-terminal admitted ticket (for the
-  /// failure sweep and quota accounting), the admitter's drain flag, and
-  /// the overload-control state (brownout, LRU clock, resident bytes).
-  /// sched_mu_ may be taken before a ticket's mu_ and before a queue's
-  /// internal lock (depth()), never after either.
+  /// failure sweep and quota accounting), the shutdown and failure flags,
+  /// and the overload-control state (brownout, LRU clock, resident bytes).
+  /// This is the server's only scheduler lock. It may be taken before a
+  /// ticket's mu_, never after it.
   mutable std::mutex sched_mu_;
+  /// Workers park here; Submit, a pack that leaves work behind, Shutdown
+  /// and a runtime failure wake them.
   std::condition_variable sched_cv_;
+  /// Submitters blocked on a full class queue park here; admission,
+  /// shedding, Shutdown and a runtime failure wake them.
+  std::condition_variable space_cv_;
+  std::array<std::deque<std::shared_ptr<RequestTicket>>, kNumRequestPriorities>
+      queued_;
+  size_t rr_class_ = 0;
+  uint32_t rr_budget_ = 0;
+  /// Every request in the window still has unpacked rows (the pack sweep
+  /// erases one as its last rows are packed): non-empty means work.
   std::deque<std::shared_ptr<RequestTicket>> open_;
   std::vector<std::shared_ptr<RequestTicket>> live_;
-  bool admitter_done_ = false;
+  bool closed_ = false;  ///< Shutdown began: Submit enqueues nothing more
+  Status failure_;       ///< first runtime failure (via failure_hook_)
   bool brownout_ = false;
   uint64_t brownout_since_ns_ = 0;
   uint64_t lru_clock_ = 0;

@@ -1,7 +1,6 @@
 #ifndef GREATER_STREAM_BOUNDED_QUEUE_H_
 #define GREATER_STREAM_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -16,21 +15,6 @@
 
 namespace greater {
 
-/// Outcome of a bounded-duration Pop (BoundedQueue::PopFor).
-enum class QueuePop {
-  kItem,     ///< an item was dequeued into `out`
-  kTimeout,  ///< the wait expired with the queue still empty and open
-  kDone,     ///< closed-and-drained or poisoned: no item will ever arrive
-};
-
-/// Outcome of a non-blocking or bounded-duration Push
-/// (BoundedQueue::TryPush / PushFor).
-enum class QueuePush {
-  kAccepted,  ///< the item entered the queue
-  kFull,      ///< capacity held for the whole wait; the item was NOT taken
-  kDone,      ///< closed or poisoned: the item was NOT taken and never will be
-};
-
 /// Type-erased control surface of a BoundedQueue, so the stream runtime
 /// can poison every queue in a pipeline without knowing element types.
 class QueueControl {
@@ -43,10 +27,6 @@ class QueueControl {
   /// a failure drain and exit instead of deadlocking against a full (or
   /// empty) queue. Idempotent; the first error wins.
   virtual void Poison(Status error) = 0;
-
-  /// Marks normal end-of-stream: no more pushes. Consumers drain the
-  /// remaining items, then Pop returns nullopt (the poison pill).
-  virtual void Close() = 0;
 };
 
 /// Fixed-capacity MPMC queue with blocking push — the backpressure
@@ -64,13 +44,12 @@ class QueueControl {
 template <typename T>
 class BoundedQueue final : public QueueControl {
  public:
-  BoundedQueue(std::string name, size_t capacity)
-      : name_(std::move(name)),
-        capacity_(capacity == 0 ? 1 : capacity),
+  BoundedQueue(const std::string& name, size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity),
         depth_gauge_(
-            MetricsRegistry::Global().GetGauge("stream.queue_depth." + name_)),
+            MetricsRegistry::Global().GetGauge("stream.queue_depth." + name)),
         peak_gauge_(
-            MetricsRegistry::Global().GetGauge("stream.queue_peak." + name_)),
+            MetricsRegistry::Global().GetGauge("stream.queue_peak." + name)),
         full_waits_(
             MetricsRegistry::Global().GetCounter("stream.queue_full_waits")) {
     depth_gauge_.Set(0);
@@ -94,60 +73,16 @@ class BoundedQueue final : public QueueControl {
       full_waits_.Increment();
       not_full_.wait(lock);
     }
-    AppendLocked(std::move(item), lock);
-    return true;
-  }
-
-  /// Non-blocking Push: admission paths that must never stall a submitter
-  /// use this (and PushFor) instead of Push. `*item` is moved from ONLY on
-  /// kAccepted — on kFull/kDone the caller still owns it and can shed,
-  /// retry, or fail it typed. FIFO order is identical to Push (same tail
-  /// append under the same lock).
-  QueuePush TryPush(T* item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (poisoned_ || closed_) return QueuePush::kDone;
-    if (items_.size() >= capacity_) return QueuePush::kFull;
-    AppendLocked(std::move(*item), lock);
-    return QueuePush::kAccepted;
-  }
-
-  /// Push with a bounded wait: blocks up to `timeout_ms` for capacity,
-  /// then gives up with kFull instead of waiting forever — the overload
-  /// contract of serving admission (a submitter behind a stuffed queue is
-  /// shed with a retry-after hint, never parked indefinitely). Shares
-  /// Push's semantics otherwise, including the `stream.queue_full` fault
-  /// point and the `stream.queue_full_waits` counter on each blocked wait.
-  QueuePush PushFor(uint64_t timeout_ms, T* item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      if (poisoned_ || closed_) return QueuePush::kDone;
-      if (items_.size() < capacity_) break;
-      if (FaultRegistry::AnyArmed()) {
-        Status injected = FaultRegistry::Global().Check("stream.queue_full");
-        if (!injected.ok()) {
-          PoisonLocked(std::move(injected), lock);
-          return QueuePush::kDone;
-        }
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return QueuePush::kFull;
-      }
-      full_waits_.Increment();
-      not_full_.wait_until(lock, deadline);
+    items_.push_back(std::move(item));
+    const auto depth = static_cast<int64_t>(items_.size());
+    depth_gauge_.Set(depth);
+    if (depth > peak_) {
+      peak_ = depth;
+      peak_gauge_.Set(peak_);
     }
-    AppendLocked(std::move(*item), lock);
-    return QueuePush::kAccepted;
-  }
-
-  /// Items currently buffered. A watermark hook for overload controllers
-  /// (queue-depth shedding and brownout entry read this), not a
-  /// synchronization primitive — the value is stale the moment the lock
-  /// drops.
-  size_t depth() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
+    lock.unlock();
+    not_empty_.notify_one();
+    return true;
   }
 
   /// Blocks until an item, end-of-stream, or poison. nullopt means "no
@@ -166,27 +101,9 @@ class BoundedQueue final : public QueueControl {
     return item;
   }
 
-  /// Pop with a bounded wait, for consumers that must keep signalling
-  /// liveness while idle: a serving-layer worker parked on an empty
-  /// admission queue wakes every `timeout_ms` to beat its heartbeat, so
-  /// the watchdog convicts only workers stalled *inside* a unit of work,
-  /// never merely idle ones. kItem stores the item into `*out`.
-  QueuePop PopFor(uint64_t timeout_ms, T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-      return poisoned_ || closed_ || !items_.empty();
-    });
-    if (poisoned_) return QueuePop::kDone;
-    if (items_.empty()) return closed_ ? QueuePop::kDone : QueuePop::kTimeout;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    depth_gauge_.Set(static_cast<int64_t>(items_.size()));
-    lock.unlock();
-    not_full_.notify_one();
-    return QueuePop::kItem;
-  }
-
-  void Close() override {
+  /// Marks normal end-of-stream: no more pushes. Consumers drain the
+  /// remaining items, then Pop returns nullopt (the poison pill).
+  void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
@@ -206,29 +123,10 @@ class BoundedQueue final : public QueueControl {
     return error_;
   }
 
-  const std::string& name() const { return name_; }
-  size_t capacity() const { return capacity_; }
-
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
  private:
-  /// Shared tail of every accepting push: append, refresh the depth/peak
-  /// gauges, release the lock, and wake one consumer.
-  void AppendLocked(T item, std::unique_lock<std::mutex>& lock) {
-    items_.push_back(std::move(item));
-    size_t depth = items_.size();
-    depth_gauge_.Set(static_cast<int64_t>(depth));
-    if (static_cast<int64_t>(depth) > peak_) {
-      peak_ = static_cast<int64_t>(depth);
-      peak_gauge_.Set(peak_);
-    }
-    // Callers return right after; the unique_lock is left released (its
-    // destructor tolerates that), so the woken consumer can run at once.
-    lock.unlock();
-    not_empty_.notify_one();
-  }
-
   void PoisonLocked(Status error, std::unique_lock<std::mutex>& lock) {
     if (!poisoned_) {
       poisoned_ = true;
@@ -242,7 +140,6 @@ class BoundedQueue final : public QueueControl {
     lock.lock();
   }
 
-  const std::string name_;
   const size_t capacity_;
   Gauge& depth_gauge_;
   Gauge& peak_gauge_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -569,7 +570,7 @@ TEST(SynthesisServerTest, BurstStormShedsOnlyBackground) {
   options.max_lanes_per_batch = 8;
   options.admission_capacity = 4;    // tiny queue per class
   options.admission_wait_ms = 1;     // shed instead of blocking Submit
-  options.shed_queue_depth = 3;      // admitter sheds queued overflow too
+  options.shed_queue_depth = 3;      // workers shed queued overflow too
   SynthesisServer server(options);
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
@@ -853,7 +854,7 @@ TEST(SynthesisServerTest, BrownoutEntersOnceAndExitsAfterDwell) {
   for (auto& ticket : waves) {
     ASSERT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
   }
-  // Pressure is gone; once the dwell elapses the admitter's next pressure
+  // Pressure is gone; once the dwell elapses a worker's next pressure
   // sweep exits brownout.
   for (int i = 0; i < 600 && mode.Value() != 0.0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -867,18 +868,24 @@ TEST(SynthesisServerTest, BrownoutEntersOnceAndExitsAfterDwell) {
 // Priority scheduling inside the packing window: with batch/background
 // work already queued, a later interactive request is admitted and packed
 // ahead of it (weighted admission + priority-ordered window), so its
-// latency does not hide behind the backlog.
+// latency does not hide behind the backlog. Completion order is read from
+// terminal stamps of a counting clock: polling done() after Wait returns
+// would race the test thread's wake-up against the worker.
 TEST(SynthesisServerTest, InteractiveOvertakesQueuedBackground) {
   TenantSet set = MakeTenants(1);
+  std::atomic<uint64_t> ticks{0};
   ServeOptions options;
   options.num_workers = 1;
   options.max_open_requests = 4;
   options.max_lanes_per_batch = 4;
+  options.clock_ns = [&ticks] { return ticks.fetch_add(1) + 1; };
   SynthesisServer server(options);
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
 
-  auto pin = server.Submit({set.names[0], 100, 3});
+  // The pin holds the worker while the backlog and the urgent request
+  // queue up behind it.
+  auto pin = server.Submit({set.names[0], 1000, 3});
   std::vector<std::shared_ptr<RequestTicket>> backlog;
   for (uint64_t i = 0; i < 10; ++i) {
     SampleRequest low;
@@ -895,19 +902,307 @@ TEST(SynthesisServerTest, InteractiveOvertakesQueuedBackground) {
   high.priority = RequestPriority::kInteractive;
   auto urgent = server.Submit(high);
   ASSERT_TRUE(urgent->Wait().ok()) << urgent->Wait().status();
-
-  // The interactive request finished while most of the backlog was still
-  // in flight — it did not wait for 200 queued background rows.
-  size_t backlog_pending = 0;
-  for (auto& ticket : backlog) {
-    if (!ticket->done()) ++backlog_pending;
-  }
-  EXPECT_GE(backlog_pending, 1u);
+  uint64_t last_backlog_ns = 0;
   for (auto& ticket : backlog) {
     ASSERT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
+    last_backlog_ns = std::max(last_backlog_ns, ticket->done_ns());
   }
   ASSERT_TRUE(pin->Wait().ok()) << pin->Wait().status();
   ASSERT_TRUE(server.Shutdown().ok());
+
+  // The interactive request went terminal while background work submitted
+  // before it was still in flight — it did not wait for 200 queued
+  // background rows.
+  EXPECT_LT(urgent->done_ns(), last_backlog_ns);
+}
+
+// ---------- Backpressure at a full class queue ----------
+
+// A single worker that dies silently on its first scheduling pass (the
+// "stream.worker_death" fault, armed by the caller before Start): nothing
+// is ever admitted, so a class queue fills and stays full.
+ServeOptions StalledOptions() {
+  ServeOptions options;
+  options.num_workers = 1;
+  options.admission_capacity = 1;
+  return options;
+}
+
+FaultSpec OneDeath() {
+  FaultSpec death;
+  death.max_fires = 1;
+  return death;
+}
+
+// Submits `request` on its own thread and returns once that Submit is
+// parked on a full class queue (the wait is counted under the scheduler
+// lock right before it parks) or has returned without parking.
+struct ParkedSubmit {
+  std::shared_ptr<RequestTicket> ticket;
+  std::atomic<bool> returned{false};
+  bool parked = false;
+  std::thread thread;
+
+  ParkedSubmit(SynthesisServer* server, SampleRequest request) {
+    Counter& waits =
+        MetricsRegistry::Global().GetCounter("stream.queue_full_waits");
+    const uint64_t before = waits.Value();
+    thread = std::thread([this, server, request] {
+      ticket = server->Submit(request);
+      returned = true;
+    });
+    while (waits.Value() == before && !returned) std::this_thread::yield();
+    parked = waits.Value() != before;
+  }
+};
+
+TEST(SynthesisServerTest, BlockedSubmitFailsTypedOnShutdown) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  ServeSnapshot before = ServeSnapshot::Take();
+  TenantSet set = MakeTenants(1);
+  SynthesisServer server(StalledOptions());
+  AddAll(&server, set);
+  ScopedFault death("stream.worker_death", OneDeath());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto queued = server.Submit({set.names[0], 2, 1});
+  EXPECT_FALSE(queued->done());
+  EXPECT_EQ(registry
+                .GetGauge("stream.queue_depth.serve.admission.interactive")
+                .Value(),
+            1.0);
+  EXPECT_EQ(
+      registry.GetGauge("stream.queue_peak.serve.admission.interactive")
+          .Value(),
+      1.0);
+
+  ParkedSubmit submit(&server, {set.names[0], 2, 2});
+  EXPECT_TRUE(submit.parked);
+  EXPECT_TRUE(server.Shutdown().ok());
+  submit.thread.join();
+  const std::shared_ptr<RequestTicket>& blocked = submit.ticket;
+  ASSERT_TRUE(blocked->done());
+  EXPECT_EQ(blocked->Wait().status().code(), StatusCode::kFailedPrecondition)
+      << blocked->Wait().status();
+  // The queued request was abandoned by the dead worker; Shutdown's sweep
+  // fails it typed instead of leaving its waiter hanging.
+  ASSERT_TRUE(queued->done());
+  EXPECT_EQ(queued->Wait().status().code(), StatusCode::kFailedPrecondition)
+      << queued->Wait().status();
+  ExpectCountersReconcile(before);
+}
+
+TEST(SynthesisServerTest, BlockedSubmitFailsWithWatchdogError) {
+  ServeSnapshot before = ServeSnapshot::Take();
+  TenantSet set = MakeTenants(1);
+  ServeOptions options = StalledOptions();
+  options.watchdog_timeout_ms = 200;
+  options.watchdog_poll_ms = 5;
+  SynthesisServer server(options);
+  AddAll(&server, set);
+  ScopedFault death("stream.worker_death", OneDeath());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto queued = server.Submit({set.names[0], 2, 1});
+  ParkedSubmit submit(&server, {set.names[0], 2, 2});
+  // No Shutdown: the watchdog's conviction alone unblocks the submitter.
+  submit.thread.join();
+  EXPECT_TRUE(submit.parked);
+  const std::shared_ptr<RequestTicket>& blocked = submit.ticket;
+  ASSERT_TRUE(blocked->done());
+  EXPECT_EQ(blocked->Wait().status().code(), StatusCode::kDeadlineExceeded)
+      << blocked->Wait().status();
+
+  EXPECT_EQ(server.Shutdown().code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(queued->done());
+  EXPECT_EQ(queued->Wait().status().code(), StatusCode::kDeadlineExceeded)
+      << queued->Wait().status();
+  ExpectCountersReconcile(before);
+}
+
+TEST(SynthesisServerTest, FullClassQueueShedsOrFailsSubmitTyped) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  ServeSnapshot before = ServeSnapshot::Take();
+  TenantSet set = MakeTenants(1);
+  ServeOptions options = StalledOptions();
+  options.admission_wait_ms = 5;
+  options.shed_retry_after_ms = 77;
+  SynthesisServer server(options);
+  AddAll(&server, set);
+  ScopedFault death("stream.worker_death", OneDeath());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto queued = server.Submit({set.names[0], 2, 1});
+  EXPECT_FALSE(queued->done());
+
+  // Bounded wait: the class queue stays full for admission_wait_ms, so the
+  // submit is shed with the configured hint.
+  auto shed = server.Submit({set.names[0], 2, 2});
+  ASSERT_TRUE(shed->done());
+  const Status& verdict = shed->Wait().status();
+  EXPECT_EQ(verdict.code(), StatusCode::kResourceExhausted) << verdict;
+  ASSERT_TRUE(verdict.retry_after_ms().has_value()) << verdict;
+  EXPECT_EQ(*verdict.retry_after_ms(), 77u);
+
+  // A fired stream.queue_full fault at the full queue fails that submit
+  // with the injected status.
+  {
+    FaultSpec spec;
+    spec.code = StatusCode::kDataLoss;
+    spec.max_fires = 1;
+    ScopedFault fault("stream.queue_full", spec);
+    auto faulted = server.Submit({set.names[0], 2, 3});
+    ASSERT_TRUE(faulted->done());
+    EXPECT_EQ(faulted->Wait().status().code(), StatusCode::kDataLoss)
+        << faulted->Wait().status();
+    EXPECT_EQ(FaultRegistry::Global().fires("stream.queue_full"), 1u);
+  }
+  // Only that submit failed: the queue still holds its request.
+  EXPECT_EQ(registry
+                .GetGauge("stream.queue_depth.serve.admission.interactive")
+                .Value(),
+            1.0);
+  EXPECT_FALSE(queued->done());
+
+  EXPECT_TRUE(server.Shutdown().ok());
+  EXPECT_EQ(queued->Wait().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(registry.GetCounter("serve.shed").Value() - before.shed, 1u);
+  ExpectCountersReconcile(before);
+}
+
+// No timer sets a latency floor: with the liveness beat at a minute,
+// requests (including ones queued behind a full window) and Shutdown still
+// complete at once — progress never waits on idle_poll_ms.
+TEST(SynthesisServerTest, IdlePollIsOnlyALivenessBeat) {
+  ServeSnapshot before = ServeSnapshot::Take();
+  TenantSet set = MakeTenants(2);
+  ServeOptions options;
+  options.num_workers = 2;
+  options.max_open_requests = 1;
+  options.max_lanes_per_batch = 4;
+  options.idle_poll_ms = 60000;
+  SynthesisServer server(options);
+  AddAll(&server, set);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(server.Start().ok());
+
+  for (uint64_t round = 0; round < 3; ++round) {
+    // Let both workers park before the round starts.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<std::shared_ptr<RequestTicket>> tickets;
+    for (uint64_t i = 0; i < 6; ++i) {
+      SampleRequest request;
+      request.tenant = set.names[i % 2];
+      request.rows = 3 + i;
+      request.seed = 60 + round * 10 + i;
+      request.priority = static_cast<RequestPriority>(i % 3);
+      tickets.push_back(server.Submit(request));
+    }
+    for (auto& ticket : tickets) {
+      ASSERT_TRUE(ticket->WaitFor(10000)) << "request waited on the poll";
+      EXPECT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
+    }
+  }
+  ASSERT_TRUE(server.Shutdown().ok());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  ExpectCountersReconcile(before);
+}
+
+// A zero-weight class is starved while the server runs, but Shutdown
+// still drains it: queued background work is admitted and served, every
+// ticket goes terminal, and Shutdown returns.
+TEST(SynthesisServerTest, ZeroWeightClassStarvesUntilShutdownDrains) {
+  ServeSnapshot before = ServeSnapshot::Take();
+  TenantSet set = MakeTenants(1);
+  ServeOptions options;
+  options.num_workers = 2;
+  options.priority_weights = {1, 1, 0};
+  SynthesisServer server(options);
+  AddAll(&server, set);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::shared_ptr<RequestTicket>> background;
+  for (uint64_t i = 0; i < 4; ++i) {
+    SampleRequest low;
+    low.tenant = set.names[0];
+    low.rows = 5;
+    low.seed = 700 + i;
+    low.priority = RequestPriority::kBackground;
+    background.push_back(server.Submit(low));
+  }
+  // Weighted classes keep flowing past the starved one.
+  auto urgent = server.Submit({set.names[0], 3, 710});
+  ASSERT_TRUE(urgent->Wait().ok()) << urgent->Wait().status();
+  for (auto& ticket : background) EXPECT_FALSE(ticket->done());
+
+  ASSERT_TRUE(server.Shutdown().ok());
+  for (auto& ticket : background) {
+    ASSERT_TRUE(ticket->done());
+    EXPECT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
+  }
+  ExpectCountersReconcile(before);
+}
+
+// Per-request phase stamps: every terminal ticket's queue, window and
+// decode phases sum to its latency exactly, all stamps come from the
+// server clock, and each phase histogram observes every terminal ticket.
+TEST(SynthesisServerTest, PhaseStampsSumToLatency) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Histogram& latency = registry.GetLatencyHistogram("serve.request_latency_us");
+  Histogram& queue = registry.GetLatencyHistogram("serve.phase.queue_us");
+  Histogram& window = registry.GetLatencyHistogram("serve.phase.window_us");
+  Histogram& decode = registry.GetLatencyHistogram("serve.phase.decode_us");
+  const uint64_t latency_before = latency.TotalCount();
+  const uint64_t queue_before = queue.TotalCount();
+  const uint64_t window_before = window.TotalCount();
+  const uint64_t decode_before = decode.TotalCount();
+
+  // Every read of the server clock advances it by 1 µs, so each stamp is
+  // distinct and a stamp taken from any other source would show.
+  std::atomic<uint64_t> ticks{0};
+  TenantSet set = MakeTenants(2);
+  ServeOptions options;
+  options.num_workers = 2;
+  options.max_open_requests = 2;
+  options.max_lanes_per_batch = 8;
+  options.clock_ns = [&ticks] { return (ticks.fetch_add(1) + 1) * 1000; };
+  SynthesisServer server(options);
+  AddAll(&server, set);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::shared_ptr<RequestTicket>> tickets;
+  for (uint64_t i = 0; i < 24; ++i) {
+    tickets.push_back(server.Submit({set.names[i % 2], 1 + i % 7, 500 + i}));
+    if (i % 5 == 0) tickets.back()->Cancel();
+  }
+  tickets.push_back(server.Submit({"nobody", 3, 1}));  // rejected at submit
+  for (auto& ticket : tickets) ticket->Wait();
+  ASSERT_TRUE(server.Shutdown().ok());
+
+  size_t completed = 0;
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    SCOPED_TRACE("ticket " + std::to_string(i));
+    RequestTicket& ticket = *tickets[i];
+    const RequestTicket::Phases& phases = ticket.phases();
+    EXPECT_EQ(phases.queue_us + phases.window_us + phases.decode_us,
+              ticket.latency_us());
+    if (!ticket.Wait().ok()) continue;
+    ++completed;
+    EXPECT_GT(phases.queue_us, 0u);
+    EXPECT_GT(phases.window_us, 0u);
+    EXPECT_GT(phases.decode_us, 0u);
+  }
+  EXPECT_GE(completed, 1u);
+  // The rejected request never reached the queue's end: all queue time.
+  EXPECT_EQ(tickets.back()->phases().queue_us, tickets.back()->latency_us());
+  EXPECT_EQ(tickets.back()->phases().decode_us, 0u);
+
+  const uint64_t terminal = latency.TotalCount() - latency_before;
+  EXPECT_EQ(terminal, tickets.size());
+  EXPECT_EQ(queue.TotalCount() - queue_before, terminal);
+  EXPECT_EQ(window.TotalCount() - window_before, terminal);
+  EXPECT_EQ(decode.TotalCount() - decode_before, terminal);
 }
 
 // ---------- Workload generator ----------

@@ -133,84 +133,6 @@ TEST_F(StreamingTest, QueueBackpressureBoundsDepthAndCountsWaits) {
   EXPECT_GE(peak.Value(), 1.0);
 }
 
-TEST_F(StreamingTest, TryPushAcceptsUntilFullAndKeepsFifoOrder) {
-  BoundedQueue<int> q("t.trypush", 3);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    EXPECT_EQ(q.TryPush(&item), QueuePush::kAccepted);
-  }
-  EXPECT_EQ(q.depth(), 3u);
-  int overflow = 99;
-  EXPECT_EQ(q.TryPush(&overflow), QueuePush::kFull);
-  EXPECT_EQ(overflow, 99);  // kFull never consumes the item
-
-  // TryPush appends through the same tail as Push: FIFO order holds
-  // across a mix of the two.
-  ASSERT_TRUE(q.Pop().has_value());
-  EXPECT_TRUE(q.Push(3));
-  int item = 4;
-  ASSERT_TRUE(q.Pop().has_value());
-  EXPECT_EQ(q.TryPush(&item), QueuePush::kAccepted);
-  int expected = 2;
-  q.Close();
-  while (auto popped = q.Pop()) EXPECT_EQ(*popped, expected++);
-  EXPECT_EQ(expected, 5);
-
-  // Closed: the item is never taken.
-  int late = 7;
-  EXPECT_EQ(q.TryPush(&late), QueuePush::kDone);
-  EXPECT_EQ(late, 7);
-}
-
-TEST_F(StreamingTest, PushForTimesOutFullAndAcceptsOnceDrained) {
-  BoundedQueue<int> q("t.pushfor", 1);
-  Counter& waits =
-      MetricsRegistry::Global().GetCounter("stream.queue_full_waits");
-  uint64_t waits_before = waits.Value();
-  EXPECT_TRUE(q.Push(0));
-  int item = 1;
-  // Full for the whole bounded wait: kFull, item retained, wait counted.
-  EXPECT_EQ(q.PushFor(5, &item), QueuePush::kFull);
-  EXPECT_EQ(item, 1);
-  EXPECT_GE(waits.Value() - waits_before, 1u);
-
-  // A consumer draining mid-wait lets the bounded push through.
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_TRUE(q.Pop().has_value());
-  });
-  EXPECT_EQ(q.PushFor(5000, &item), QueuePush::kAccepted);
-  consumer.join();
-  auto accepted = q.Pop();
-  ASSERT_TRUE(accepted.has_value());
-  EXPECT_EQ(*accepted, 1);
-}
-
-TEST_F(StreamingTest, BoundedPushVariantsHonorPoison) {
-  BoundedQueue<int> q("t.pushpoison", 1);
-  EXPECT_TRUE(q.Push(0));
-  q.Poison(Status::Internal("downstream died"));
-  int item = 5;
-  EXPECT_EQ(q.TryPush(&item), QueuePush::kDone);
-  EXPECT_EQ(q.PushFor(10, &item), QueuePush::kDone);
-  EXPECT_EQ(item, 5);
-  EXPECT_FALSE(q.Pop().has_value());  // poison drops buffered items
-  EXPECT_EQ(q.error().code(), StatusCode::kInternal);
-
-  // The stream.queue_full fault point fires inside a full PushFor wait
-  // exactly as it does for Push: the queue poisons with the injected
-  // status and the producer sees kDone.
-  BoundedQueue<int> hot("t.pushfor_fault", 1);
-  EXPECT_TRUE(hot.Push(0));
-  FaultSpec spec;
-  spec.code = StatusCode::kDataLoss;
-  spec.message = "injected consumer death";
-  ScopedFault fault("stream.queue_full", spec);
-  int blocked = 6;
-  EXPECT_EQ(hot.PushFor(1000, &blocked), QueuePush::kDone);
-  EXPECT_EQ(hot.error().code(), StatusCode::kDataLoss);
-}
-
 TEST_F(StreamingTest, PoisonUnblocksBlockedProducerAndConsumer) {
   BoundedQueue<int> q("t.poison", 1);
   ASSERT_TRUE(q.Push(1));
@@ -225,7 +147,21 @@ TEST_F(StreamingTest, PoisonUnblocksBlockedProducerAndConsumer) {
   producer.join();
   EXPECT_TRUE(producer_rejected.load());
   EXPECT_EQ(q.error().code(), StatusCode::kInternal);
-  EXPECT_FALSE(q.Pop().has_value());  // poisoned queues stay empty
+  EXPECT_FALSE(q.Pop().has_value());  // poison dropped the buffered item
+  EXPECT_FALSE(q.Push(3));            // and rejects every later push
+
+  // The stream.queue_full fault point fires when a producer finds the
+  // queue full: the queue poisons with the injected status and the push
+  // reports rejection instead of blocking.
+  BoundedQueue<int> hot("t.push_fault", 1);
+  EXPECT_TRUE(hot.Push(0));
+  FaultSpec spec;
+  spec.code = StatusCode::kDataLoss;
+  spec.message = "injected consumer death";
+  ScopedFault fault("stream.queue_full", spec);
+  EXPECT_FALSE(hot.Push(6));
+  EXPECT_EQ(hot.error().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(hot.Pop().has_value());
 }
 
 // ---------- incremental CSV record splitter ----------
