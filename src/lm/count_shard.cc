@@ -5,33 +5,96 @@
 #include <utility>
 
 namespace greater {
+namespace {
 
-CountShard::CountShard(size_t order) : order_(order) {
-  order_ = std::clamp<size_t>(order_, 2, kNGramMaxOrder);
-  levels_.resize(order_);
+// MurmurHash3 fmix64: spreads the (id, token) halves over the low bits the
+// power-of-two mask keeps.
+size_t MixKey(uint64_t key) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdULL;
+  key ^= key >> 33;
+  key *= 0xc4ceb9fe1a85ec53ULL;
+  key ^= key >> 33;
+  return static_cast<size_t>(key);
 }
 
-std::array<uint64_t, kNGramMaxOrder> CountShard::PositionBounds(
-    const std::vector<CountTokenSequence>& sequences, size_t order) {
-  std::array<uint64_t, kNGramMaxOrder> bounds{};
-  for (const CountTokenSequence& seq : sequences) {
-    // Padded length L = |seq| + 2 (bos, eos). Positions run 1..L-1; level
-    // k is touched at every position >= max(1, k).
-    uint64_t padded = seq.size() + 2;
-    for (size_t k = 0; k < order; ++k) {
-      uint64_t first = std::max<uint64_t>(1, k);
-      if (padded > first) bounds[k] += padded - first;
+}  // namespace
+
+uint64_t* FlatU64Map::FindOrInsert(uint64_t key, bool* inserted) {
+  if ((size_ + 1) * 2 > slots_.size()) {
+    Rehash(std::max<size_t>(16, slots_.size() * 2));
+  }
+  size_t mask = slots_.size() - 1;
+  for (size_t i = MixKey(key) & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.key == key) {
+      if (inserted != nullptr) *inserted = false;
+      return &slot.value;
+    }
+    if (slot.key == kEmpty) {
+      slot.key = key;
+      ++size_;
+      if (inserted != nullptr) *inserted = true;
+      return &slot.value;
     }
   }
-  return bounds;
 }
 
-void CountShard::Reserve(
-    const std::array<uint64_t, kNGramMaxOrder>& additional) {
-  for (size_t k = 0; k < levels_.size(); ++k) {
-    if (additional[k] == 0) continue;
-    levels_[k].reserve(levels_[k].size() + additional[k]);
+const uint64_t* FlatU64Map::Find(uint64_t key) const {
+  if (slots_.empty()) return nullptr;
+  size_t mask = slots_.size() - 1;
+  for (size_t i = MixKey(key) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.key == key) return &slot.value;
+    if (slot.key == kEmpty) return nullptr;
   }
+}
+
+void FlatU64Map::Reserve(size_t n) {
+  size_t capacity = 16;
+  while (capacity < n * 2) capacity *= 2;
+  if (capacity > slots_.size()) Rehash(capacity);
+}
+
+void FlatU64Map::Rehash(size_t capacity) {
+  std::vector<Slot> old(capacity);
+  old.swap(slots_);
+  size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.key == kEmpty) continue;
+    size_t i = MixKey(slot.key) & mask;
+    while (slots_[i].key != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+CountShard::CountShard(size_t order)
+    : order_(std::clamp<size_t>(order, 2, kNGramMaxOrder)), nodes_(1) {}
+
+int64_t CountShard::FindChild(uint32_t node, TokenId token) const {
+  const uint64_t* child = children_.Find(FlatU64Map::Pack(node, token));
+  return child == nullptr ? -1 : static_cast<int64_t>(*child);
+}
+
+uint64_t CountShard::SuccessorCount(uint32_t node, TokenId target) const {
+  const uint64_t* count = successors_.Find(FlatU64Map::Pack(node, target));
+  return count == nullptr ? 0 : *count;
+}
+
+uint32_t CountShard::ChildOrInsert(uint32_t node, TokenId token) {
+  bool inserted = false;
+  uint64_t* child =
+      children_.FindOrInsert(FlatU64Map::Pack(node, token), &inserted);
+  if (inserted) {
+    *child = nodes_.size();
+    nodes_.push_back(Node{node, token, 0});
+  }
+  return static_cast<uint32_t>(*child);
+}
+
+void CountShard::Count(uint32_t node, TokenId target) {
+  ++nodes_[node].total;
+  ++*successors_.FindOrInsert(FlatU64Map::Pack(node, target));
 }
 
 void CountShard::Accumulate(const CountTokenSequence& sequence) {
@@ -44,14 +107,13 @@ void CountShard::Accumulate(const CountTokenSequence& sequence) {
   for (size_t pos = 1; pos < padded_.size(); ++pos) {
     TokenId target = padded_[pos];
     size_t max_ctx = std::min(pos, order_ - 1);
-    for (size_t ctx_len = 0; ctx_len <= max_ctx; ++ctx_len) {
-      NGramContextKey key;
-      key.len = static_cast<uint32_t>(ctx_len);
-      const TokenId* begin = padded_.data() + (pos - ctx_len);
-      for (size_t i = 0; i < ctx_len; ++i) key.ids[i] = begin[i];
-      ContextCounts& cell = levels_[ctx_len][key];
-      ++cell.total;
-      ++cell.counts[target];
+    // Context length k is the length k-1 context with padded_[pos - k]
+    // prepended: one trie step per level.
+    uint32_t node = 0;
+    Count(node, target);
+    for (size_t ctx_len = 1; ctx_len <= max_ctx; ++ctx_len) {
+      node = ChildOrInsert(node, padded_[pos - ctx_len]);
+      Count(node, target);
     }
   }
   ++sequences_;
@@ -68,34 +130,32 @@ Status CountShard::AccumulateChunk(
       }
     }
   }
-  Reserve(PositionBounds(sequences, order_));
   for (const CountTokenSequence& seq : sequences) Accumulate(seq);
   return Status::OK();
 }
 
 void CountShard::Merge(CountShard&& other) {
-  for (size_t k = 0; k < levels_.size() && k < other.levels_.size(); ++k) {
-    LevelCounts& dst = levels_[k];
-    LevelCounts& src = other.levels_[k];
-    if (dst.empty()) {
-      dst = std::move(src);
-      continue;
+  if (sequences_ == 0) {
+    std::swap(nodes_, other.nodes_);
+    std::swap(children_, other.children_);
+    std::swap(successors_, other.successors_);
+  } else {
+    std::vector<uint32_t> remap(other.nodes_.size());
+    nodes_[0].total += other.nodes_[0].total;
+    for (size_t n = 1; n < other.nodes_.size(); ++n) {
+      const Node& src = other.nodes_[n];
+      remap[n] = ChildOrInsert(remap[src.parent], src.token);
+      nodes_[remap[n]].total += src.total;
     }
-    dst.reserve(dst.size() + src.size());
-    for (auto& [key, cell] : src) {
-      ContextCounts& into = dst[key];
-      into.total += cell.total;
-      if (into.counts.empty()) {
-        into.counts = std::move(cell.counts);
-      } else {
-        into.counts.reserve(into.counts.size() + cell.counts.size());
-        for (const auto& [token, n] : cell.counts) into.counts[token] += n;
-      }
+    for (const FlatU64Map::Slot& slot : other.successors_.slots()) {
+      if (slot.key == FlatU64Map::kEmpty) continue;
+      uint32_t node = remap[slot.key >> 32];
+      auto target = static_cast<TokenId>(slot.key & 0xffffffffu);
+      *successors_.FindOrInsert(FlatU64Map::Pack(node, target)) += slot.value;
     }
-    src.clear();
   }
   sequences_ += other.sequences_;
-  other.sequences_ = 0;
+  other = CountShard(other.order_);
 }
 
 }  // namespace greater

@@ -1,9 +1,7 @@
 #ifndef GREATER_LM_COUNT_SHARD_H_
 #define GREATER_LM_COUNT_SHARD_H_
 
-#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -19,50 +17,71 @@ using CountTokenSequence = std::vector<TokenId>;
 /// (NGramLm::kMaxOrder aliases this).
 inline constexpr size_t kNGramMaxOrder = 8;
 
-/// Context key: up to kNGramMaxOrder-1 token ids packed into a fixed
-/// array — no heap allocation, no string materialization per lookup.
-/// Unused slots stay zero so equality can compare the whole array.
-struct NGramContextKey {
-  std::array<TokenId, kNGramMaxOrder - 1> ids{};
-  uint32_t len = 0;
+/// Open-addressed hash table from a packed u64 key to a u64 value: one
+/// contiguous slot array, linear probing, power-of-two capacity that
+/// doubles at half load, no erase. Keys are `Pack(hi, lo)` of a node id
+/// and a token id; token ids are non-negative TokenIds, so the low half is
+/// never all ones and the all-ones key can mark an empty slot.
+class FlatU64Map {
+ public:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
 
-  bool operator==(const NGramContextKey& other) const {
-    return len == other.len && ids == other.ids;
+  struct Slot {
+    uint64_t key = kEmpty;
+    uint64_t value = 0;
+  };
+
+  static uint64_t Pack(uint32_t hi, TokenId lo) {
+    return (uint64_t{hi} << 32) | static_cast<uint32_t>(lo);
   }
+
+  /// Value for `key`, inserted as 0 when absent (`*inserted`, if given,
+  /// reports which). The pointer is valid until the next insertion.
+  uint64_t* FindOrInsert(uint64_t key, bool* inserted = nullptr);
+
+  /// Value for `key`, or nullptr when absent.
+  const uint64_t* Find(uint64_t key) const;
+
+  /// Sizes the slot array for `n` keys without further growth.
+  void Reserve(size_t n);
+
+  /// Every slot, empty ones included (key == kEmpty); order is the hash
+  /// layout, so callers that need a canonical order must sort.
+  const std::vector<Slot>& slots() const { return slots_; }
+
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
 };
 
-struct NGramContextKeyHash {
-  size_t operator()(const NGramContextKey& key) const {
-    // SplitMix64-style mix over the active prefix.
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ key.len;
-    for (uint32_t i = 0; i < key.len; ++i) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(key.ids[i]));
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-/// One shard's n-gram count tables: packed-context-key -> integer counts,
-/// one map per context length. Counts are unsigned integers, so merging
-/// shards is exact regardless of merge order — the foundation of
-/// NGramLm::FitStreaming's "bitwise-identical at any shard count"
-/// contract (floating-point accumulation happens once, at finalize, in a
-/// fixed serial order).
+/// One shard's n-gram counts: the exact integer fit-time accumulator.
+/// Counts are unsigned integers, so merging shards is exact regardless of
+/// merge order — the foundation of NGramLm::FitStreaming's "bitwise-
+/// identical at any shard count" contract (floating-point arithmetic
+/// happens once, when NGramLm freezes the merged counts).
+///
+/// Contexts are nodes of a suffix trie. Node 0 is the empty context; node
+/// n is the context of `parent` with `token` prepended as its oldest
+/// token, so walking from the root prepends one older token per step.
+/// Children are found through one FlatU64Map keyed by (parent, token);
+/// successor counts live in a second FlatU64Map keyed by (node, target).
+/// A node's id is always larger than its parent's.
 ///
 /// A shard is also the per-worker arena for streaming fit: the padded
 /// scratch sequence is a member reused across every accumulated sequence,
-/// so steady-state accumulation performs no per-sequence heap allocation
-/// once the maps are warm.
+/// and the tables grow by doubling, so steady-state accumulation performs
+/// no per-sequence heap allocation.
 class CountShard {
  public:
-  struct ContextCounts {
-    uint64_t total = 0;
-    std::unordered_map<TokenId, uint64_t> counts;
+  struct Node {
+    uint32_t parent = 0;
+    TokenId token = 0;   // oldest token of the context (unused at the root)
+    uint64_t total = 0;  // observations of any successor after the context
   };
-  using LevelCounts =
-      std::unordered_map<NGramContextKey, ContextCounts, NGramContextKeyHash>;
 
   /// `order` is the n-gram order (context lengths 0 .. order-1), already
   /// clamped by the caller to [2, kNGramMaxOrder].
@@ -70,39 +89,42 @@ class CountShard {
 
   size_t order() const { return order_; }
   uint64_t sequences() const { return sequences_; }
-  const std::vector<LevelCounts>& levels() const { return levels_; }
+  const std::vector<Node>& nodes() const { return nodes_; }
+  /// (node, target) -> count.
+  const FlatU64Map& successors() const { return successors_; }
 
-  /// Upper bound on per-level map insertions for `sequences` (the number
-  /// of n-gram positions each level sees). Distinct contexts can only be
-  /// fewer, so reserving these bounds guarantees no rehash during growth.
-  static std::array<uint64_t, kNGramMaxOrder> PositionBounds(
-      const std::vector<CountTokenSequence>& sequences, size_t order);
+  /// Child of `node` with `token` prepended, or -1 when absent.
+  int64_t FindChild(uint32_t node, TokenId token) const;
 
-  /// Grows each level's bucket table to hold `additional` more entries
-  /// beyond the current size (no-op per level when already large enough).
-  void Reserve(const std::array<uint64_t, kNGramMaxOrder>& additional);
+  /// Count of `target` after `node` (0 when absent).
+  uint64_t SuccessorCount(uint32_t node, TokenId target) const;
 
   /// Counts every n-gram of [bos, ...sequence, eos] with unit weight.
   void Accumulate(const CountTokenSequence& sequence);
 
   /// Validates every token id in `sequences` against `vocab_size` (same
-  /// error contract as NGramLm::Fit), then pre-reserves from
-  /// PositionBounds and accumulates each sequence. Validation completes
-  /// before any accumulation, so a failed chunk leaves the shard with no
-  /// partial contribution from it.
+  /// error contract as NGramLm::Fit), then accumulates each sequence.
+  /// Validation completes before any accumulation, so a failed chunk
+  /// leaves the shard with no partial contribution from it.
   Status AccumulateChunk(const std::vector<CountTokenSequence>& sequences,
                          size_t vocab_size);
 
-  /// Folds `other`'s counts into this shard. Integer addition is exact,
-  /// so any fold order yields identical tables; callers still fold in
-  /// fixed shard-index order to keep the plan auditable.
+  /// Folds `other`'s counts into this shard. Other's nodes are remapped in
+  /// id order (parents precede children, so one pass suffices). Integer
+  /// addition is exact, so any fold order yields identical counts; callers
+  /// still fold in fixed shard-index order to keep the plan auditable.
   void Merge(CountShard&& other);
 
  private:
+  uint32_t ChildOrInsert(uint32_t node, TokenId token);
+  void Count(uint32_t node, TokenId target);
+
   size_t order_;
   uint64_t sequences_ = 0;
-  std::vector<LevelCounts> levels_;  // levels_[k] holds contexts of length k
-  CountTokenSequence padded_;        // reusable [bos, seq..., eos] scratch
+  std::vector<Node> nodes_;  // nodes_[0] is the empty context
+  FlatU64Map children_;      // (parent, token) -> node id
+  FlatU64Map successors_;    // (node, target) -> count
+  CountTokenSequence padded_;  // reusable [bos, seq..., eos] scratch
 };
 
 }  // namespace greater

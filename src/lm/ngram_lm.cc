@@ -1,7 +1,9 @@
 #include "lm/ngram_lm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -16,7 +18,7 @@ namespace {
 // serial `+= 1.0` increments would. When the slot is empty the result is
 // the integer itself (bitwise-equal to the stepwise sum for counts below
 // 2^53); when fractional prior mass is already present, replay the
-// increments so merged-count finalization matches the historical
+// increments so the frozen value matches the historical
 // one-observation-at-a-time accumulation bit for bit.
 void AddUnitCounts(double* slot, uint64_t count) {
   if (*slot == 0.0) {
@@ -26,19 +28,32 @@ void AddUnitCounts(double* slot, uint64_t count) {
   for (uint64_t i = 0; i < count; ++i) *slot += 1.0;
 }
 
+// First position in [from, end) whose token is >= `token`, or `end`.
+// Probes from + 0, 1, 3, 7, ... and binary-searches the bracket, so a run
+// of ascending lookups that each resume from the previous answer walks
+// the span once instead of searching it from the start every time.
+size_t GallopLowerBound(const std::vector<TokenId>& tokens, size_t from,
+                        size_t end, TokenId token) {
+  size_t lo = from;  // every token in [from, lo) is < token
+  size_t hi = from;
+  for (size_t step = 1; hi < end && tokens[hi] < token; step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, end);
+  return static_cast<size_t>(
+      std::lower_bound(tokens.begin() + static_cast<ptrdiff_t>(lo),
+                       tokens.begin() + static_cast<ptrdiff_t>(hi), token) -
+      tokens.begin());
+}
+
 }  // namespace
 
 NGramLm::NGramLm(size_t vocab_size, const Options& options)
     : vocab_size_(vocab_size), options_(options) {
   options_.order = std::clamp<size_t>(options_.order, 2, kMaxOrder);
-  levels_.resize(options_.order);  // context lengths 0 .. order-1
-}
-
-NGramLm::ContextKey NGramLm::PackContext(const TokenId* begin, size_t len) {
-  ContextKey key;
-  key.len = static_cast<uint32_t>(len);
-  for (size_t i = 0; i < len; ++i) key.ids[i] = begin[i];
-  return key;
+  level_begin_.assign(options_.order + 1, 0);  // context lengths 0..order-1
+  succ_begin_.assign(1, 0);
 }
 
 Status NGramLm::SetPriorCorpus(const std::vector<TokenSequence>& sequences) {
@@ -49,52 +64,135 @@ Status NGramLm::SetPriorCorpus(const std::vector<TokenSequence>& sequences) {
   return Status::OK();
 }
 
-void NGramLm::AccumulateSequence(const TokenSequence& sequence,
-                                 double weight) {
-  // Work on [bos, ...sequence, eos].
-  TokenSequence padded;
-  padded.reserve(sequence.size() + 2);
-  padded.push_back(Vocabulary::kBosId);
-  padded.insert(padded.end(), sequence.begin(), sequence.end());
-  padded.push_back(Vocabulary::kEosId);
-
-  for (size_t pos = 1; pos < padded.size(); ++pos) {
-    TokenId target = padded[pos];
-    size_t max_ctx = std::min(pos, options_.order - 1);
-    for (size_t ctx_len = 0; ctx_len <= max_ctx; ++ctx_len) {
-      ContextKey key =
-          PackContext(padded.data() + (pos - ctx_len), ctx_len);
-      ContextStats& stats = levels_[ctx_len][key];
-      stats.total += weight;
-      stats.counts[target] += weight;
-    }
-  }
-}
-
-void NGramLm::FinalizeFromCounts(const CountShard& counts) {
-  // Prior corpus first, exactly as Fit has always ordered it: fractional
-  // weights accumulate serially, so their rounding history is independent
-  // of the shard plan.
+Status NGramLm::Freeze(CountShard counts) {
+  // The prior corpus is counted as integers too. A slot seen n times in it
+  // held n serial `+= prior_weight` increments under the historical
+  // accumulate-in-place fit; slot_value replays exactly those. Merging a
+  // copy into `counts` gives the union of keys, and the prior share is
+  // subtracted back per slot.
+  CountShard prior(options_.order);
   if (options_.prior_weight > 0.0) {
-    for (const auto& seq : prior_) {
-      AccumulateSequence(seq, options_.prior_weight);
+    GREATER_RETURN_NOT_OK(prior.AccumulateChunk(prior_, vocab_size_));
+    counts.Merge(CountShard(prior));
+  }
+  const std::vector<CountShard::Node>& nodes = counts.nodes();
+  const size_t num_contexts = nodes.size();
+
+  // Context length of every node (parents precede children), then the
+  // level boundaries.
+  std::vector<uint8_t> depth(num_contexts, 0);
+  std::vector<uint64_t> level_begin(options_.order + 1, 0);
+  level_begin[1] = 1;
+  for (size_t n = 1; n < num_contexts; ++n) {
+    depth[n] = static_cast<uint8_t>(depth[nodes[n].parent] + 1);
+    ++level_begin[depth[n] + 1];
+  }
+  for (size_t k = 1; k < level_begin.size(); ++k) {
+    level_begin[k] += level_begin[k - 1];
+  }
+
+  // Context ids in (length, ids) order, level by level. A length-k
+  // context's ids are its oldest token followed by its suffix's ids, and
+  // the suffix ids are already ranked, so (token, suffix id) sorts it.
+  std::vector<uint32_t> frozen(num_contexts, 0);
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> ranked(
+      options_.order);
+  for (size_t n = 1; n < num_contexts; ++n) {
+    ranked[depth[n]].emplace_back(0, static_cast<uint32_t>(n));
+  }
+  for (size_t k = 1; k < options_.order; ++k) {
+    for (auto& [key, n] : ranked[k]) {
+      key = (uint64_t{static_cast<uint32_t>(nodes[n].token)} << 32) |
+            frozen[nodes[n].parent];
+    }
+    std::sort(ranked[k].begin(), ranked[k].end());
+    for (size_t i = 0; i < ranked[k].size(); ++i) {
+      frozen[ranked[k][i].second] = static_cast<uint32_t>(level_begin[k] + i);
+    }
+    ranked[k] = {};
+  }
+
+  // The prior trie node matching each merged node (-1: not in the prior).
+  std::vector<int64_t> prior_node(num_contexts, -1);
+  prior_node[0] = 0;
+  for (size_t n = 1; n < num_contexts; ++n) {
+    int64_t suffix = prior_node[nodes[n].parent];
+    if (suffix >= 0) {
+      prior_node[n] =
+          prior.FindChild(static_cast<uint32_t>(suffix), nodes[n].token);
     }
   }
-  for (size_t k = 0; k < levels_.size() && k < counts.levels().size(); ++k) {
-    const CountShard::LevelCounts& src = counts.levels()[k];
-    LevelMap& dst = levels_[k];
-    dst.reserve(dst.size() + src.size());
-    for (const auto& [key, cell] : src) {
-      ContextStats& stats = dst[key];
-      if (stats.counts.empty()) {
-        stats.counts.reserve(cell.counts.size());
-      }
-      AddUnitCounts(&stats.total, cell.total);
-      for (const auto& [token, n] : cell.counts) {
-        AddUnitCounts(&stats.counts[token], n);
-      }
+  auto slot_value = [&](uint64_t merged, uint64_t from_prior) {
+    double slot = 0.0;
+    for (uint64_t i = 0; i < from_prior; ++i) slot += options_.prior_weight;
+    AddUnitCounts(&slot, merged - from_prior);
+    return slot;
+  };
+
+  std::vector<uint32_t> ctx_parent(num_contexts, 0);
+  std::vector<TokenId> ctx_token(num_contexts, 0);
+  std::vector<double> ctx_total(num_contexts, 0.0);
+  for (size_t n = 0; n < num_contexts; ++n) {
+    uint32_t c = frozen[n];
+    ctx_parent[c] = frozen[nodes[n].parent];
+    ctx_token[c] = nodes[n].token;
+    uint64_t from_prior =
+        prior_node[n] < 0 ? 0 : prior.nodes()[prior_node[n]].total;
+    ctx_total[c] = slot_value(nodes[n].total, from_prior);
+  }
+
+  // CSR successor spans: bucket cells by context, then sort each span by
+  // token.
+  const std::vector<FlatU64Map::Slot>& slots = counts.successors().slots();
+  std::vector<uint64_t> succ_begin(num_contexts + 1, 0);
+  for (const FlatU64Map::Slot& slot : slots) {
+    if (slot.key != FlatU64Map::kEmpty) {
+      ++succ_begin[frozen[slot.key >> 32] + 1];
     }
   }
+  for (size_t c = 1; c <= num_contexts; ++c) {
+    succ_begin[c] += succ_begin[c - 1];
+  }
+  std::vector<std::pair<TokenId, double>> cells(succ_begin[num_contexts]);
+  std::vector<uint64_t> cursor(succ_begin.begin(), succ_begin.end() - 1);
+  for (const FlatU64Map::Slot& slot : slots) {
+    if (slot.key == FlatU64Map::kEmpty) continue;
+    size_t n = slot.key >> 32;
+    auto target = static_cast<TokenId>(slot.key & 0xffffffffu);
+    uint64_t from_prior =
+        prior_node[n] < 0
+            ? 0
+            : prior.SuccessorCount(static_cast<uint32_t>(prior_node[n]),
+                                   target);
+    cells[cursor[frozen[n]]++] = {target, slot_value(slot.value, from_prior)};
+  }
+  for (size_t c = 0; c < num_contexts; ++c) {
+    std::sort(cells.begin() + static_cast<ptrdiff_t>(succ_begin[c]),
+              cells.begin() + static_cast<ptrdiff_t>(succ_begin[c + 1]));
+  }
+  std::vector<TokenId> succ_token(cells.size());
+  std::vector<double> succ_count(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    succ_token[i] = cells[i].first;
+    succ_count[i] = cells[i].second;
+  }
+
+  FlatU64Map child;
+  child.Reserve(num_contexts);
+  for (size_t c = 1; c < num_contexts; ++c) {
+    *child.FindOrInsert(FlatU64Map::Pack(ctx_parent[c], ctx_token[c])) = c;
+  }
+
+  level_begin_ = std::move(level_begin);
+  ctx_parent_ = std::move(ctx_parent);
+  ctx_token_ = std::move(ctx_token);
+  ctx_total_ = std::move(ctx_total);
+  succ_begin_ = std::move(succ_begin);
+  succ_token_ = std::move(succ_token);
+  succ_count_ = std::move(succ_count);
+  child_ = std::move(child);
+  PublishGauges();
+  return Status::OK();
 }
 
 Status NGramLm::Fit(const std::vector<TokenSequence>& sequences) {
@@ -104,13 +202,12 @@ Status NGramLm::Fit(const std::vector<TokenSequence>& sequences) {
   if (sequences.empty()) {
     return Status::Invalid("NGramLm::Fit requires at least one sequence");
   }
-  // Count into integer tables first (pre-reserved from a counting pass —
-  // no rehash during growth), then finalize into the double tables with
-  // exact reserves. Bitwise-identical to the historical accumulate-in-
-  // place path; see AddUnitCounts.
+  // Count into the integer trie, then freeze into the flat double tables.
+  // Bitwise-identical to the historical accumulate-in-place path; see
+  // AddUnitCounts.
   CountShard shard(options_.order);
   GREATER_RETURN_NOT_OK(shard.AccumulateChunk(sequences, vocab_size_));
-  FinalizeFromCounts(shard);
+  GREATER_RETURN_NOT_OK(Freeze(std::move(shard)));
   fitted_ = true;
   return Status::OK();
 }
@@ -183,9 +280,35 @@ Status NGramLm::FitStreaming(const SequenceChunkIterator& next_chunk,
     shards[0].Merge(std::move(shards[s]));
     merge_counter.Increment();
   }
-  FinalizeFromCounts(shards[0]);
+  GREATER_RETURN_NOT_OK(Freeze(std::move(shards[0])));
   fitted_ = true;
   return Status::OK();
+}
+
+template <typename Visit>
+void NGramLm::WalkContexts(const TokenSequence& context, Visit visit) const {
+  if (ctx_total_.empty()) return;
+  // Only the last order-1 tokens of (bos + context) can be read. Step k
+  // prepends the k-th most recent of them to the length k-1 context.
+  size_t padded_size = context.size() + 1;
+  size_t eff_len = std::min(options_.order - 1, padded_size);
+  uint32_t ctx = 0;
+  visit(ctx);
+  for (size_t ctx_len = 1; ctx_len <= eff_len; ++ctx_len) {
+    size_t idx = padded_size - ctx_len;
+    TokenId oldest = idx == 0 ? Vocabulary::kBosId : context[idx - 1];
+    const uint64_t* child = child_.Find(FlatU64Map::Pack(ctx, oldest));
+    if (child == nullptr) return;  // longer contexts unseen too
+    ctx = static_cast<uint32_t>(*child);
+    visit(ctx);
+  }
+}
+
+double NGramLm::Lambda(uint32_t ctx) const {
+  double total = ctx_total_[ctx];
+  double distinct =
+      static_cast<double>(succ_begin_[ctx + 1] - succ_begin_[ctx]);
+  return total / (total + distinct);
 }
 
 std::vector<double> NGramLm::NextTokenDistribution(
@@ -194,29 +317,18 @@ std::vector<double> NGramLm::NextTokenDistribution(
   std::vector<double> dist(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
   if (!fitted_) return dist;
 
-  // Effective context: implicit bos followed by the generated prefix.
-  TokenSequence padded;
-  padded.reserve(context.size() + 1);
-  padded.push_back(Vocabulary::kBosId);
-  padded.insert(padded.end(), context.begin(), context.end());
-
   // Interpolate from short to long contexts (Witten–Bell): at each level,
   // dist <- lambda * ML(level) + (1 - lambda) * dist.
-  for (size_t ctx_len = 0; ctx_len < options_.order; ++ctx_len) {
-    if (ctx_len > padded.size()) break;
-    ContextKey key = PackContext(
-        padded.data() + (padded.size() - ctx_len), ctx_len);
-    auto it = levels_[ctx_len].find(key);
-    if (it == levels_[ctx_len].end()) break;  // longer contexts unseen too
-    const ContextStats& stats = it->second;
-    double distinct = static_cast<double>(stats.counts.size());
-    double lambda = stats.total / (stats.total + distinct);
+  WalkContexts(context, [&](uint32_t ctx) {
+    double total = ctx_total_[ctx];
+    double lambda = Lambda(ctx);
     double keep = 1.0 - lambda;
     for (double& p : dist) p *= keep;
-    for (const auto& [token, count] : stats.counts) {
-      dist[static_cast<size_t>(token)] += lambda * count / stats.total;
+    for (uint64_t i = succ_begin_[ctx]; i < succ_begin_[ctx + 1]; ++i) {
+      dist[static_cast<size_t>(succ_token_[i])] +=
+          lambda * succ_count_[i] / total;
     }
-  }
+  });
   return dist;
 }
 
@@ -240,158 +352,29 @@ void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
   }
   if (!fitted_) return;
 
-  // Only the last order-1 tokens of (bos + context) can be read; stage
-  // them in a fixed-size buffer instead of materializing the prefix.
-  std::array<TokenId, kMaxOrder> eff{};
-  size_t padded_size = context.size() + 1;
-  size_t eff_len = std::min(options_.order - 1, padded_size);
-  for (size_t j = 0; j < eff_len; ++j) {
-    size_t idx = padded_size - eff_len + j;
-    eff[j] = idx == 0 ? Vocabulary::kBosId : context[idx - 1];
-  }
-
-  for (size_t ctx_len = 0; ctx_len < options_.order; ++ctx_len) {
-    if (ctx_len > eff_len) break;
-    ContextKey key = PackContext(eff.data() + (eff_len - ctx_len), ctx_len);
-    auto it = levels_[ctx_len].find(key);
-    if (it == levels_[ctx_len].end()) break;
-    const ContextStats& stats = it->second;
-    double distinct = static_cast<double>(stats.counts.size());
-    double lambda = stats.total / (stats.total + distinct);
+  WalkContexts(context, [&](uint32_t ctx) {
+    double total = ctx_total_[ctx];
+    double lambda = Lambda(ctx);
     double keep = 1.0 - lambda;
+    // Candidates usually arrive ascending (interned allow-lists), so each
+    // lookup resumes where the previous one ended; a descending step
+    // restarts from the span's first successor.
+    const size_t begin = succ_begin_[ctx];
+    const size_t end = succ_begin_[ctx + 1];
+    size_t cursor = begin;
+    TokenId prev = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
       TokenId id = candidates[i];
       if (id < 0 || static_cast<size_t>(id) >= vocab_size_) continue;
       (*out)[i] *= keep;
-      auto count_it = stats.counts.find(id);
-      if (count_it != stats.counts.end()) {
-        (*out)[i] += lambda * count_it->second / stats.total;
+      if (id < prev) cursor = begin;
+      prev = id;
+      cursor = GallopLowerBound(succ_token_, cursor, end, id);
+      if (cursor < end && succ_token_[cursor] == id) {
+        (*out)[i] += lambda * succ_count_[cursor] / total;
       }
     }
-  }
-}
-
-std::string NGramLm::SerializeBinary() const {
-  ByteWriter w;
-  w.PutU64(vocab_size_);
-  w.PutU64(options_.order);
-  w.PutF64(options_.prior_weight);
-  w.PutBool(fitted_);
-  w.PutU32(static_cast<uint32_t>(levels_.size()));
-  for (const LevelMap& level : levels_) {
-    // Sort entries by (len, ids) and counts by token id: unordered_map
-    // iteration order must never leak into the byte stream.
-    std::vector<const std::pair<const ContextKey, ContextStats>*> entries;
-    entries.reserve(level.size());
-    for (const auto& entry : level) entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) {
-                if (a->first.len != b->first.len) {
-                  return a->first.len < b->first.len;
-                }
-                return a->first.ids < b->first.ids;
-              });
-    w.PutU64(entries.size());
-    for (const auto* entry : entries) {
-      const ContextKey& key = entry->first;
-      const ContextStats& stats = entry->second;
-      w.PutU32(key.len);
-      for (uint32_t i = 0; i < key.len; ++i) {
-        w.PutU32(static_cast<uint32_t>(key.ids[i]));
-      }
-      w.PutF64(stats.total);
-      std::vector<std::pair<TokenId, double>> counts(stats.counts.begin(),
-                                                     stats.counts.end());
-      std::sort(counts.begin(), counts.end());
-      w.PutU32(static_cast<uint32_t>(counts.size()));
-      for (const auto& [token, count] : counts) {
-        w.PutU32(static_cast<uint32_t>(token));
-        w.PutF64(count);
-      }
-    }
-  }
-  ArtifactWriter doc("greater.ngram_lm", 1);
-  doc.AddChunk("model", std::move(w).Take());
-  return doc.Finish();
-}
-
-Status NGramLm::DeserializeBinary(std::string_view bytes) {
-  GREATER_ASSIGN_OR_RETURN(
-      ArtifactReader doc,
-      ArtifactReader::Parse(std::string(bytes), "greater.ngram_lm", 1));
-  GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("model"));
-  ByteReader r(payload);
-  uint64_t vocab_size = 0, order = 0;
-  GREATER_RETURN_NOT_OK(r.GetU64(&vocab_size));
-  GREATER_RETURN_NOT_OK(r.GetU64(&order));
-  if (order < 2 || order > kMaxOrder) {
-    return Status::DataLoss("corrupt n-gram model: order " +
-                            std::to_string(order) + " outside [2, " +
-                            std::to_string(kMaxOrder) + "]");
-  }
-  Options options;
-  options.order = order;
-  GREATER_RETURN_NOT_OK(r.GetF64(&options.prior_weight));
-  bool fitted = false;
-  GREATER_RETURN_NOT_OK(r.GetBool(&fitted));
-  uint32_t num_levels = 0;
-  GREATER_RETURN_NOT_OK(r.GetU32(&num_levels));
-  if (num_levels != order) {
-    return Status::DataLoss("corrupt n-gram model: " +
-                            std::to_string(num_levels) +
-                            " levels for order " + std::to_string(order));
-  }
-  std::vector<LevelMap> levels(num_levels);
-  for (uint32_t l = 0; l < num_levels; ++l) {
-    uint64_t num_entries = 0;
-    GREATER_RETURN_NOT_OK(r.GetU64(&num_entries));
-    levels[l].reserve(num_entries);
-    for (uint64_t e = 0; e < num_entries; ++e) {
-      ContextKey key;
-      GREATER_RETURN_NOT_OK(r.GetU32(&key.len));
-      if (key.len >= kMaxOrder) {
-        return Status::DataLoss("corrupt n-gram model: context length " +
-                                std::to_string(key.len));
-      }
-      for (uint32_t i = 0; i < key.len; ++i) {
-        uint32_t id = 0;
-        GREATER_RETURN_NOT_OK(r.GetU32(&id));
-        key.ids[i] = static_cast<TokenId>(id);
-      }
-      ContextStats stats;
-      GREATER_RETURN_NOT_OK(r.GetF64(&stats.total));
-      uint32_t num_counts = 0;
-      GREATER_RETURN_NOT_OK(r.GetU32(&num_counts));
-      stats.counts.reserve(num_counts);
-      for (uint32_t c = 0; c < num_counts; ++c) {
-        uint32_t token = 0;
-        double count = 0.0;
-        GREATER_RETURN_NOT_OK(r.GetU32(&token));
-        GREATER_RETURN_NOT_OK(r.GetF64(&count));
-        stats.counts[static_cast<TokenId>(token)] = count;
-      }
-      levels[l].emplace(key, std::move(stats));
-    }
-  }
-  GREATER_RETURN_NOT_OK(r.ExpectEnd());
-  vocab_size_ = vocab_size;
-  options_ = options;
-  fitted_ = fitted;
-  levels_ = std::move(levels);
-  prior_.clear();
-  return Status::OK();
-}
-
-Status NGramLm::Save(const std::string& path) const {
-  return AtomicWriteFile(path, SerializeBinary())
-      .WithContext("saving n-gram LM to '" + path + "'");
-}
-
-Status NGramLm::Load(const std::string& path) {
-  GREATER_ASSIGN_OR_RETURN_CTX(std::string bytes, ReadFileBytes(path),
-                               "loading n-gram LM from '" + path + "'");
-  return DeserializeBinary(bytes)
-      .WithContext("loading n-gram LM from '" + path + "'");
+  });
 }
 
 double NGramLm::TokenLogProb(const TokenSequence& context, TokenId token,
@@ -407,29 +390,200 @@ double NGramLm::TokenLogProb(const TokenSequence& context, TokenId token,
   double p = 1.0 / static_cast<double>(vocab_size_);
   if (!fitted_) return std::log(std::max(p, 1e-300));
 
-  std::array<TokenId, kMaxOrder> eff{};
-  size_t padded_size = context.size() + 1;
-  size_t eff_len = std::min(options_.order - 1, padded_size);
-  for (size_t j = 0; j < eff_len; ++j) {
-    size_t idx = padded_size - eff_len + j;
-    eff[j] = idx == 0 ? Vocabulary::kBosId : context[idx - 1];
-  }
-  for (size_t ctx_len = 0; ctx_len < options_.order; ++ctx_len) {
-    if (ctx_len > eff_len) break;
-    ContextKey key = PackContext(eff.data() + (eff_len - ctx_len), ctx_len);
-    auto it = levels_[ctx_len].find(key);
-    if (it == levels_[ctx_len].end()) break;
-    const ContextStats& stats = it->second;
-    double distinct = static_cast<double>(stats.counts.size());
-    double lambda = stats.total / (stats.total + distinct);
+  WalkContexts(context, [&](uint32_t ctx) {
+    double total = ctx_total_[ctx];
+    double lambda = Lambda(ctx);
     double keep = 1.0 - lambda;
     p *= keep;
-    auto count_it = stats.counts.find(token);
-    if (count_it != stats.counts.end()) {
-      p += lambda * count_it->second / stats.total;
+    const size_t end = succ_begin_[ctx + 1];
+    size_t pos = GallopLowerBound(succ_token_, succ_begin_[ctx], end, token);
+    if (pos < end && succ_token_[pos] == token) {
+      p += lambda * succ_count_[pos] / total;
+    }
+  });
+  return std::log(std::max(p, 1e-300));
+}
+
+size_t NGramLm::model_bytes() const {
+  auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  return bytes(level_begin_) + bytes(ctx_parent_) + bytes(ctx_token_) +
+         bytes(ctx_total_) + bytes(succ_begin_) + bytes(succ_token_) +
+         bytes(succ_count_) + child_.MemoryBytes();
+}
+
+void NGramLm::PublishGauges() const {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.GetGauge("lm.ngram.contexts")
+      .Set(static_cast<double>(num_contexts()));
+  metrics.GetGauge("lm.ngram.successors")
+      .Set(static_cast<double>(num_successors()));
+  metrics.GetGauge("lm.ngram.model_bytes")
+      .Set(static_cast<double>(model_bytes()));
+}
+
+std::string NGramLm::SerializeBinary() const {
+  // The frozen tables are already in canonical order: a linear dump.
+  ByteWriter w;
+  w.PutU64(vocab_size_);
+  w.PutU64(options_.order);
+  w.PutF64(options_.prior_weight);
+  w.PutBool(fitted_);
+  w.PutU32(static_cast<uint32_t>(options_.order));
+  for (size_t k = 0; k < options_.order; ++k) {
+    w.PutU64(level_begin_[k + 1] - level_begin_[k]);
+    for (uint64_t c = level_begin_[k]; c < level_begin_[k + 1]; ++c) {
+      w.PutU32(static_cast<uint32_t>(k));
+      // Oldest token first: each suffix step yields the next newer one.
+      uint64_t id = c;
+      for (size_t i = 0; i < k; ++i, id = ctx_parent_[id]) {
+        w.PutU32(static_cast<uint32_t>(ctx_token_[id]));
+      }
+      w.PutF64(ctx_total_[c]);
+      w.PutU32(static_cast<uint32_t>(succ_begin_[c + 1] - succ_begin_[c]));
+      for (uint64_t i = succ_begin_[c]; i < succ_begin_[c + 1]; ++i) {
+        w.PutU32(static_cast<uint32_t>(succ_token_[i]));
+        w.PutF64(succ_count_[i]);
+      }
     }
   }
-  return std::log(std::max(p, 1e-300));
+  ArtifactWriter doc("greater.ngram_lm", 1);
+  doc.AddChunk("model", std::move(w).Take());
+  return doc.Finish();
+}
+
+Status NGramLm::DeserializeBinary(std::string_view bytes) {
+  GREATER_ASSIGN_OR_RETURN(
+      ArtifactReader doc,
+      ArtifactReader::Parse(std::string(bytes), "greater.ngram_lm", 1));
+  GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("model"));
+  ByteReader r(payload);
+  auto corrupt = [](const std::string& what) {
+    return Status::DataLoss("corrupt n-gram model: " + what);
+  };
+  uint64_t vocab_size = 0, order = 0;
+  GREATER_RETURN_NOT_OK(r.GetU64(&vocab_size));
+  GREATER_RETURN_NOT_OK(r.GetU64(&order));
+  if (order < 2 || order > kMaxOrder) {
+    return corrupt("order " + std::to_string(order) + " outside [2, " +
+                   std::to_string(kMaxOrder) + "]");
+  }
+  if (vocab_size >
+      static_cast<uint64_t>(std::numeric_limits<TokenId>::max()) + 1) {
+    return corrupt("vocab size " + std::to_string(vocab_size) +
+                   " exceeds the token id range");
+  }
+  Options options;
+  options.order = order;
+  GREATER_RETURN_NOT_OK(r.GetF64(&options.prior_weight));
+  NGramLm model(vocab_size, options);
+  GREATER_RETURN_NOT_OK(r.GetBool(&model.fitted_));
+  uint32_t num_levels = 0;
+  GREATER_RETURN_NOT_OK(r.GetU32(&num_levels));
+  if (num_levels != order) {
+    return corrupt(std::to_string(num_levels) + " levels for order " +
+                   std::to_string(order));
+  }
+  auto valid_value = [](double v) { return std::isfinite(v) && v > 0.0; };
+  for (uint32_t l = 0; l < num_levels; ++l) {
+    const std::string where = " at level " + std::to_string(l);
+    uint64_t num_entries = 0;
+    GREATER_RETURN_NOT_OK(r.GetU64(&num_entries));
+    // Smallest entry: length, ids, total, one (token, count) successor.
+    if (num_entries > r.remaining() / (4 + 4 * l + 8 + 4 + 12)) {
+      return corrupt(std::to_string(num_entries) + " contexts" + where +
+                     " exceed the remaining bytes");
+    }
+    std::array<uint32_t, kMaxOrder> prev{};
+    for (uint64_t e = 0; e < num_entries; ++e) {
+      uint32_t len = 0;
+      GREATER_RETURN_NOT_OK(r.GetU32(&len));
+      if (len != l) {
+        return corrupt("context length " + std::to_string(len) + where);
+      }
+      std::array<uint32_t, kMaxOrder> ids{};
+      for (uint32_t i = 0; i < len; ++i) {
+        GREATER_RETURN_NOT_OK(r.GetU32(&ids[i]));
+        if (ids[i] >= vocab_size) {
+          return corrupt("context token id " + std::to_string(ids[i]) +
+                         " outside vocab of size " +
+                         std::to_string(vocab_size));
+        }
+      }
+      if (e > 0 && !(prev < ids)) {
+        return corrupt("contexts" + where + " unsorted or duplicated");
+      }
+      prev = ids;
+      // The suffix (ids[1..len)) must already be stored: walk to it from
+      // the empty context, newest token first.
+      uint32_t suffix = 0;
+      if (len > 0 && model.ctx_total_.empty()) {
+        return corrupt("context" + where + " without its suffix");
+      }
+      for (uint32_t i = len; i-- > 1;) {
+        const uint64_t* child = model.child_.Find(
+            FlatU64Map::Pack(suffix, static_cast<TokenId>(ids[i])));
+        if (child == nullptr) {
+          return corrupt("context" + where + " without its suffix");
+        }
+        suffix = static_cast<uint32_t>(*child);
+      }
+      double total = 0.0;
+      GREATER_RETURN_NOT_OK(r.GetF64(&total));
+      if (!valid_value(total)) {
+        return corrupt("context total " + std::to_string(total) + where);
+      }
+      uint32_t num_counts = 0;
+      GREATER_RETURN_NOT_OK(r.GetU32(&num_counts));
+      if (num_counts == 0 || num_counts > r.remaining() / 12) {
+        return corrupt(std::to_string(num_counts) + " successors" + where);
+      }
+      for (uint32_t c = 0; c < num_counts; ++c) {
+        uint32_t token = 0;
+        double count = 0.0;
+        GREATER_RETURN_NOT_OK(r.GetU32(&token));
+        GREATER_RETURN_NOT_OK(r.GetF64(&count));
+        if (token >= vocab_size) {
+          return corrupt("successor id " + std::to_string(token) +
+                         " outside vocab of size " +
+                         std::to_string(vocab_size));
+        }
+        if (c > 0 && static_cast<TokenId>(token) <= model.succ_token_.back()) {
+          return corrupt("successors" + where + " unsorted or duplicated");
+        }
+        if (!valid_value(count)) {
+          return corrupt("successor count " + std::to_string(count) + where);
+        }
+        model.succ_token_.push_back(static_cast<TokenId>(token));
+        model.succ_count_.push_back(count);
+      }
+      auto id = static_cast<uint32_t>(model.ctx_total_.size());
+      if (len > 0) {
+        *model.child_.FindOrInsert(
+            FlatU64Map::Pack(suffix, static_cast<TokenId>(ids[0]))) = id;
+      }
+      model.ctx_parent_.push_back(suffix);
+      model.ctx_token_.push_back(len > 0 ? static_cast<TokenId>(ids[0]) : 0);
+      model.ctx_total_.push_back(total);
+      model.succ_begin_.push_back(model.succ_token_.size());
+    }
+    model.level_begin_[l + 1] = model.ctx_total_.size();
+  }
+  GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  *this = std::move(model);
+  PublishGauges();
+  return Status::OK();
+}
+
+Status NGramLm::Save(const std::string& path) const {
+  return AtomicWriteFile(path, SerializeBinary())
+      .WithContext("saving n-gram LM to '" + path + "'");
+}
+
+Status NGramLm::Load(const std::string& path) {
+  GREATER_ASSIGN_OR_RETURN_CTX(std::string bytes, ReadFileBytes(path),
+                               "loading n-gram LM from '" + path + "'");
+  return DeserializeBinary(bytes)
+      .WithContext("loading n-gram LM from '" + path + "'");
 }
 
 }  // namespace greater

@@ -1,13 +1,11 @@
 #ifndef GREATER_LM_NGRAM_LM_H_
 #define GREATER_LM_NGRAM_LM_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "lm/count_shard.h"
@@ -63,10 +61,11 @@ class NGramLm : public LanguageModel {
   /// Out-of-core Fit: drains `next_chunk`, fanning chunks over an internal
   /// ThreadPool onto `num_shards` CountShard accumulators (chunk i goes to
   /// shard i % num_shards), then folds shards in fixed shard-index order
-  /// and finalizes. Shard counts are integers, so the resulting model is
-  /// bitwise-identical to serial Fit on the concatenated chunks at ANY
-  /// shard count — same contract PR 2 established for NeuralLm gradients.
-  /// Peak memory is the count tables plus one in-flight wave of chunks.
+  /// and freezes the result into the flat tables. Shard counts are
+  /// integers, so the resulting model is bitwise-identical to serial Fit
+  /// on the concatenated chunks at ANY shard count — the same contract
+  /// NeuralLm keeps for its gradients. Peak memory is the count tables
+  /// plus one in-flight wave of chunks.
   /// Emits lm.fit.shard_* metrics.
   Status FitStreaming(const SequenceChunkIterator& next_chunk,
                       size_t num_shards);
@@ -97,49 +96,70 @@ class NGramLm : public LanguageModel {
 
   const Options& options() const { return options_; }
 
-  /// Persistence (artifact kind "greater.ngram_lm"). Count tables are
-  /// written in sorted (context, token) order, so equal models serialize
-  /// to equal bytes and a loaded model reproduces the saved model's
+  /// Persistence (artifact kind "greater.ngram_lm"). The frozen tables
+  /// are already in the artifact's canonical order (contexts by (length,
+  /// ids), successors by token), so equal models serialize to equal bytes
+  /// by a linear dump and a loaded model reproduces the saved model's
   /// distributions bit for bit. The prior corpus is not persisted — its
   /// fractional counts are already folded into the tables at Fit.
+  /// DeserializeBinary rejects (kDataLoss) any artifact the lookups could
+  /// not walk safely: ids outside the vocabulary, a context whose length
+  /// differs from its level, unsorted or duplicate contexts or successors,
+  /// a context whose one-shorter suffix is missing, and non-finite or
+  /// non-positive totals or counts.
   std::string SerializeBinary() const;
   Status DeserializeBinary(std::string_view bytes);
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
 
+  /// Frozen table sizes: contexts (all lengths), (context, successor)
+  /// cells, and the bytes the arrays and the child index hold. Also
+  /// published as the lm.ngram.* gauges whenever a model is frozen or
+  /// loaded.
+  size_t num_contexts() const { return ctx_total_.size(); }
+  size_t num_successors() const { return succ_token_.size(); }
+  size_t model_bytes() const;
+
   /// Maximum supported n-gram order (Options::order is clamped to it).
   static constexpr size_t kMaxOrder = kNGramMaxOrder;
 
  private:
-  struct ContextStats {
-    double total = 0.0;
-    std::unordered_map<TokenId, double> counts;
-  };
+  /// Freezes merged integer counts into the flat tables: contexts sorted
+  /// by (length, ids), CSR successor spans sorted by token, double totals
+  /// and counts. With prior_weight > 0 the prior corpus is counted too and
+  /// each slot gets its serial prior increments first, then the data
+  /// count as unit increments — the historical rounding order.
+  Status Freeze(CountShard counts);
 
-  /// Packed context key + hash shared with the CountShard accumulators
-  /// (lm/count_shard.h) so integer shard tables and the final double
-  /// tables agree on identity.
-  using ContextKey = NGramContextKey;
-  using ContextKeyHash = NGramContextKeyHash;
+  /// Walks the contexts of bos + `context` from the empty one, prepending
+  /// one older token per step, and calls `visit(ctx)` for each stored
+  /// context id; the first unseen context ends the walk (longer ones are
+  /// unseen too).
+  template <typename Visit>
+  void WalkContexts(const TokenSequence& context, Visit visit) const;
 
-  // One map per order level; key = packed context ids.
-  using LevelMap =
-      std::unordered_map<ContextKey, ContextStats, ContextKeyHash>;
+  /// Witten–Bell weight of context `ctx`: total / (total + distinct).
+  double Lambda(uint32_t ctx) const;
 
-  static ContextKey PackContext(const TokenId* begin, size_t len);
-  void AccumulateSequence(const TokenSequence& sequence, double weight);
-
-  /// Builds the final double tables from merged integer counts: prior
-  /// corpus first (serial, fractional weights — identical order to the
-  /// historical Fit), then each cell's integer count applied as unit
-  /// increments. Reserves every map exactly from the merged table sizes.
-  void FinalizeFromCounts(const CountShard& counts);
+  void PublishGauges() const;
 
   size_t vocab_size_;
   Options options_;
   bool fitted_ = false;
-  std::vector<LevelMap> levels_;  // levels_[k] holds contexts of length k
   std::vector<TokenSequence> prior_;
+
+  // Frozen tables. Context ids are positions in (length, ids) order;
+  // contexts of length k occupy [level_begin_[k], level_begin_[k + 1]).
+  // Context 0 (when present) is the empty context; every other context is
+  // its one-shorter suffix ctx_parent_ with ctx_token_ prepended.
+  std::vector<uint64_t> level_begin_;
+  std::vector<uint32_t> ctx_parent_;
+  std::vector<TokenId> ctx_token_;
+  std::vector<double> ctx_total_;
+  std::vector<uint64_t> succ_begin_;  // CSR offsets, num_contexts() + 1
+  std::vector<TokenId> succ_token_;   // ascending within each context
+  std::vector<double> succ_count_;
+  FlatU64Map child_;  // (suffix context, oldest token) -> context id
 };
 
 }  // namespace greater

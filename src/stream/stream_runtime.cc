@@ -93,7 +93,11 @@ Status StreamRuntime::Finish() {
   for (std::thread& t : workers) {
     if (t.joinable()) t.join();
   }
-  watchdog_stop_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    watchdog_stop_ = true;
+  }
+  watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   std::lock_guard<std::mutex> lock(mu_);
   return error_;
@@ -101,23 +105,27 @@ Status StreamRuntime::Finish() {
 
 void StreamRuntime::WatchdogLoop() {
   const uint64_t timeout_ns = watchdog_timeout_ms_ * 1000000ull;
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(watchdog_poll_ms_));
+  const auto poll = std::chrono::milliseconds(watchdog_poll_ms_);
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    // Finish wakes the wait at once, so the poll interval never delays
+    // shutdown.
+    if (watchdog_cv_.wait_for(lock, poll, [this] { return watchdog_stop_; })) {
+      return;
+    }
+    if (failed_) return;  // first error already decided; nothing to add
     uint64_t now = Heartbeat::NowNs();
     std::string stalled;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (failed_) return;  // first error already decided; nothing to add
-      for (const auto& hb : heartbeats_) {
-        if (hb->done()) continue;
-        uint64_t last = hb->last_beat_ns();
-        if (now > last && now - last > timeout_ns) {
-          stalled = hb->name();
-          break;
-        }
+    for (const auto& hb : heartbeats_) {
+      if (hb->done()) continue;
+      uint64_t last = hb->last_beat_ns();
+      if (now > last && now - last > timeout_ns) {
+        stalled = hb->name();
+        break;
       }
     }
     if (!stalled.empty()) {
+      lock.unlock();  // Fail takes mu_
       MetricsRegistry::Global()
           .GetCounter("stream.watchdog_trips")
           .Increment();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -112,7 +113,8 @@ class StreamRuntime {
   std::vector<std::thread> workers_;
   bool finished_ = false;
 
-  std::atomic<bool> watchdog_stop_{false};
+  bool watchdog_stop_ = false;  // set by Finish under mu_
+  std::condition_variable watchdog_cv_;
   std::thread watchdog_;
 };
 

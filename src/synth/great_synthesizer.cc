@@ -682,6 +682,14 @@ Status GreatSynthesizer::DeserializeBinary(std::string_view bytes) {
         break;
       }
     }
+    // Decode indexes model distributions by encoder token id: a model over
+    // a different vocabulary would read or write out of bounds.
+    if (lm->vocab_size() != encoder->vocab().size()) {
+      return Status::DataLoss("corrupt synthesizer: LM vocab size " +
+                              std::to_string(lm->vocab_size()) +
+                              " differs from encoder vocab size " +
+                              std::to_string(encoder->vocab().size()));
+    }
   }
   std::vector<ObservedColumn> observed;
   {

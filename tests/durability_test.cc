@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
+#include "lm/ngram_lm.h"
 #include "obs/metrics.h"
 #include "semantic/mapping.h"
 #include "synth/great_synthesizer.h"
@@ -513,6 +514,43 @@ TEST_F(DurabilityTest, LegacyAliasDecodeModeFailsPrecondition) {
   Status status = loaded.Load(target.string());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
   EXPECT_FALSE(loaded.fitted());
+}
+
+TEST_F(DurabilityTest, LmVocabMismatchFailsWithDataLoss) {
+  // A CRC-valid bundle whose n-gram LM covers a different vocabulary than
+  // its encoder must fail Load: decode indexes LM distributions by
+  // encoder token id.
+  GreatSynthesizer synth;
+  Rng rng(3);
+  ASSERT_TRUE(synth.Fit(SmallTable(), &rng).ok());
+  Result<ArtifactReader> doc = ArtifactReader::Parse(
+      synth.SerializeBinary().ValueOrDie(), kSynthesizerKind, 2);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+
+  NGramLm original(1);
+  ASSERT_TRUE(original.DeserializeBinary(doc->Chunk("lm").ValueOrDie()).ok());
+  NGramLm wider(original.vocab_size() + 5);
+  ASSERT_TRUE(wider.Fit({{3, 4}}).ok());
+
+  ArtifactWriter patched(kSynthesizerKind, doc->version());
+  for (const std::string& name : doc->chunk_names()) {
+    std::string payload(doc->Chunk(name).ValueOrDie());
+    if (name == "lm") payload = wider.SerializeBinary();
+    patched.AddChunk(name, std::move(payload));
+  }
+  fs::path target = ScratchDir("lm_vocab") / "mismatch.bin";
+  Spit(target, patched.Finish());
+
+  GreatSynthesizer loaded;
+  Status status = loaded.Load(target.string());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_FALSE(loaded.fitted());
+
+  // The untouched bundle still loads.
+  fs::path intact = ScratchDir("lm_vocab_intact") / "bundle.bin";
+  ASSERT_TRUE(synth.Save(intact.string()).ok());
+  GreatSynthesizer reloaded;
+  EXPECT_TRUE(reloaded.Load(intact.string()).ok());
 }
 
 TEST_F(DurabilityTest, RelationalSynthesizerSaveLoadSampleBitwise) {

@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
+#include "lm/ngram_lm.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -114,6 +115,38 @@ TEST(MetricsConcurrencyTest, ParallelForIncrementsAreLossless) {
   });
   EXPECT_EQ(counter.Value(), kItems);
   EXPECT_EQ(histogram.TotalCount(), kItems);
+}
+
+// ---------- n-gram model gauges ----------
+
+TEST(NGramGaugeTest, GaugesMatchFrozenAndLoadedModel) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.Reset();
+  // [bos 3 4 eos] and [bos 3 5 eos] at order 3. Contexts: the empty one;
+  // (1) (3) (4) (5); (1 3) (3 4) (3 5) -> 8. Successor cells: empty ->
+  // {2 3 4 5}, (1) -> {3}, (3) -> {4 5}, (4) -> {2}, (5) -> {2},
+  // (1 3) -> {4 5}, (3 4) -> {2}, (3 5) -> {2} -> 13.
+  NGramLm::Options options;
+  options.order = 3;
+  NGramLm lm(6, options);
+  ASSERT_TRUE(lm.Fit({{3, 4}, {3, 5}}).ok());
+  EXPECT_EQ(lm.num_contexts(), 8u);
+  EXPECT_EQ(lm.num_successors(), 13u);
+  EXPECT_EQ(metrics.GetGauge("lm.ngram.contexts").Value(), 8.0);
+  EXPECT_EQ(metrics.GetGauge("lm.ngram.successors").Value(), 13.0);
+  // At least the flat arrays: per context a suffix id, token, total and
+  // CSR offset; per cell a token and a count.
+  EXPECT_GE(lm.model_bytes(), 8u * (4 + 4 + 8 + 8) + 13u * (4 + 8));
+  EXPECT_EQ(metrics.GetGauge("lm.ngram.model_bytes").Value(),
+            static_cast<double>(lm.model_bytes()));
+
+  metrics.Reset();
+  NGramLm loaded(1);
+  ASSERT_TRUE(loaded.DeserializeBinary(lm.SerializeBinary()).ok());
+  EXPECT_EQ(metrics.GetGauge("lm.ngram.contexts").Value(), 8.0);
+  EXPECT_EQ(metrics.GetGauge("lm.ngram.successors").Value(), 13.0);
+  EXPECT_EQ(metrics.GetGauge("lm.ngram.model_bytes").Value(),
+            static_cast<double>(loaded.model_bytes()));
 }
 
 // ---------- Spans ----------

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/artifact_io.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -123,42 +124,64 @@ class OocoreTest : public testing::Test {
 TEST_F(OocoreTest, FitStreamingMatchesSerialFitBitwiseAtEveryShardCount) {
   Table train = TrainTable(90);
 
-  GreatSynthesizer::Options options;
-  GreatSynthesizer serial(options);
-  Rng serial_rng(17);
-  ASSERT_TRUE(serial.Fit(train, &serial_rng).ok());
-  Result<std::string> serial_bytes = serial.SerializeBinary();
-  ASSERT_TRUE(serial_bytes.ok());
+  // Without and with a prior corpus. The prior's fractional counts go
+  // through the serial rounding path; 0.3 is not dyadic, so its sums round
+  // and any change in their order would show in the bytes.
+  GreatSynthesizer::Options with_prior;
+  with_prior.prior_corpus = {"Grace had lunch 3 and a score of 4.5",
+                             "Noor and Mia had lunch", "the score is 2"};
+  with_prior.prior_weight = 0.3;
+  std::string no_prior_lm;
+  for (const GreatSynthesizer::Options& options :
+       {GreatSynthesizer::Options(), with_prior}) {
+    const bool prior = !options.prior_corpus.empty();
+    GreatSynthesizer serial(options);
+    Rng serial_rng(17);
+    ASSERT_TRUE(serial.Fit(train, &serial_rng).ok());
+    Result<std::string> serial_bytes = serial.SerializeBinary();
+    ASSERT_TRUE(serial_bytes.ok());
+    // The prior must reach the fitted LM, not just the options codec.
+    Result<ArtifactReader> doc = ArtifactReader::Parse(
+        *serial_bytes, "greater.great_synthesizer", 2);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    std::string lm_bytes(doc->Chunk("lm").ValueOrDie());
+    if (prior) {
+      EXPECT_NE(lm_bytes, no_prior_lm) << "the prior changed nothing";
+    } else {
+      no_prior_lm = lm_bytes;
+    }
 
-  Rng sample_rng(99);
-  Result<Table> serial_sample = serial.SampleRows(25, &sample_rng, nullptr);
-  ASSERT_TRUE(serial_sample.ok()) << serial_sample.status();
+    Rng sample_rng(99);
+    Result<Table> serial_sample = serial.SampleRows(25, &sample_rng, nullptr);
+    ASSERT_TRUE(serial_sample.ok()) << serial_sample.status();
 
-  // The cross product that must collapse to one artifact: shard counts
-  // 1/2/8 against several chunk sizes (including one chunk holding the
-  // whole table and a chunk size that leaves a ragged tail).
-  for (size_t shards : {1u, 2u, 8u}) {
-    for (size_t chunk_rows : {7u, 32u, 200u}) {
-      GreatSynthesizer::Options streamed_options;
-      streamed_options.num_fit_shards = shards;
-      GreatSynthesizer streamed(streamed_options);
-      Rng streamed_rng(17);
-      Status fit =
-          streamed.FitStreaming(ChunkedSource(train, chunk_rows),
-                                &streamed_rng);
-      ASSERT_TRUE(fit.ok()) << fit << " shards=" << shards
-                            << " chunk_rows=" << chunk_rows;
-      Result<std::string> streamed_bytes = streamed.SerializeBinary();
-      ASSERT_TRUE(streamed_bytes.ok());
-      EXPECT_EQ(*streamed_bytes, *serial_bytes)
-          << "serialized model differs at shards=" << shards
-          << " chunk_rows=" << chunk_rows;
+    // The cross product that must collapse to one artifact: shard counts
+    // 1/2/8 against several chunk sizes (including one chunk holding the
+    // whole table and a chunk size that leaves a ragged tail).
+    for (size_t shards : {1u, 2u, 8u}) {
+      for (size_t chunk_rows : {7u, 32u, 200u}) {
+        GreatSynthesizer::Options streamed_options = options;
+        streamed_options.num_fit_shards = shards;
+        GreatSynthesizer streamed(streamed_options);
+        Rng streamed_rng(17);
+        Status fit =
+            streamed.FitStreaming(ChunkedSource(train, chunk_rows),
+                                  &streamed_rng);
+        ASSERT_TRUE(fit.ok()) << fit << " shards=" << shards
+                              << " chunk_rows=" << chunk_rows
+                              << " prior=" << prior;
+        Result<std::string> streamed_bytes = streamed.SerializeBinary();
+        ASSERT_TRUE(streamed_bytes.ok());
+        EXPECT_EQ(*streamed_bytes, *serial_bytes)
+            << "serialized model differs at shards=" << shards
+            << " chunk_rows=" << chunk_rows << " prior=" << prior;
 
-      Rng streamed_sample_rng(99);
-      Result<Table> streamed_sample =
-          streamed.SampleRows(25, &streamed_sample_rng, nullptr);
-      ASSERT_TRUE(streamed_sample.ok()) << streamed_sample.status();
-      ExpectTablesEqual(*streamed_sample, *serial_sample);
+        Rng streamed_sample_rng(99);
+        Result<Table> streamed_sample =
+            streamed.SampleRows(25, &streamed_sample_rng, nullptr);
+        ASSERT_TRUE(streamed_sample.ok()) << streamed_sample.status();
+        ExpectTablesEqual(*streamed_sample, *serial_sample);
+      }
     }
   }
   EXPECT_EQ(MetricsRegistry::Global().GetGauge("lm.fit.shards").Value(),

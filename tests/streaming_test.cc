@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -543,6 +544,22 @@ TEST_F(StreamingTest, HealthyRunPassesTightWatchdog) {
   auto streamed = ReadCsvStringStreaming(NumericCsv(40), CsvReadOptions(),
                                          opt, StreamPolicy::kStrict);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(
+      MetricsRegistry::Global().GetCounter("stream.watchdog_trips").Value(),
+      0u);
+}
+
+TEST_F(StreamingTest, FinishDoesNotWaitOutWatchdogPoll) {
+  // A minute-long poll interval: Finish must wake the watchdog instead of
+  // sleeping out the interval, so the poll sets no latency floor.
+  StreamOptions opt = SmallStream();
+  opt.watchdog_poll_ms = 60000;
+  auto start = std::chrono::steady_clock::now();
+  auto streamed = ReadCsvStringStreaming(NumericCsv(40), CsvReadOptions(),
+                                         opt, StreamPolicy::kStrict);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
   EXPECT_EQ(
       MetricsRegistry::Global().GetCounter("stream.watchdog_trips").Value(),
       0u);
