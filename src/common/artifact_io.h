@@ -134,6 +134,8 @@ class ArtifactReader {
   Result<std::string_view> Chunk(std::string_view name) const;
   /// Chunk names in document order.
   const std::vector<std::string>& chunk_names() const { return names_; }
+  /// The whole serialized document, as parsed.
+  std::string_view bytes() const { return buffer_; }
 
  private:
   ArtifactReader() = default;

@@ -1,145 +1,69 @@
 #include "crosstable/checkpoint.h"
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
-#include <cerrno>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "tabular/table_serde.h"
 
 namespace greater {
 
 namespace {
 
-// FNV-1a, 64-bit. Not cryptographic — the chain guards against stale
-// reuse across honest input changes, not adversarial collisions; CRC32
-// inside the artifact container covers on-disk corruption.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x00000100000001b3ull;
-
-uint64_t Fnv1a(std::string_view bytes, uint64_t seed) {
-  uint64_t h = seed;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::string HexU64(uint64_t v) {
-  static const char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-Counter& HitCounter() {
-  static Counter* c =
-      &MetricsRegistry::Global().GetCounter("ckpt.stage_hits");
-  return *c;
-}
-Counter& MissCounter() {
-  static Counter* c =
-      &MetricsRegistry::Global().GetCounter("ckpt.stage_misses");
-  return *c;
-}
-Counter& CorruptCounter() {
-  static Counter* c =
-      &MetricsRegistry::Global().GetCounter("ckpt.stage_corrupt");
-  return *c;
-}
-Counter& StoreCounter() {
-  static Counter* c =
-      &MetricsRegistry::Global().GetCounter("ckpt.stage_stores");
-  return *c;
-}
-Counter& StoreFailureCounter() {
-  static Counter* c =
-      &MetricsRegistry::Global().GetCounter("ckpt.stage_store_failures");
-  return *c;
-}
+std::string StageName(const std::string& stage) { return "stage." + stage; }
 
 }  // namespace
 
 StageCheckpointer::StageCheckpointer(std::string dir)
-    : dir_(std::move(dir)), chain_(kFnvOffset) {}
+    : store_(std::move(dir), kKind, kVersion, "ckpt.stage") {}
 
 void StageCheckpointer::Mix(std::string_view bytes) {
-  // Length-prefix each contribution so Mix("ab") + Mix("c") never
-  // collides with Mix("a") + Mix("bc").
-  uint64_t len = bytes.size();
-  char prefix[8];
-  for (int i = 0; i < 8; ++i) {
-    prefix[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  }
-  chain_ = Fnv1a(std::string_view(prefix, 8), chain_);
-  chain_ = Fnv1a(bytes, chain_);
+  if (enabled()) chain_.Mix(bytes);
 }
 
 void StageCheckpointer::MixTable(const Table& table) {
+  if (!enabled()) return;
   ByteWriter w;
   AppendTable(table, &w);
-  Mix(w.bytes());
+  chain_.Mix(w.bytes());
 }
 
 std::string StageCheckpointer::StagePath(const std::string& stage) const {
-  return dir_ + "/stage." + stage + "." + HexU64(chain_) + ".ckpt";
+  return store_.Path(StageName(stage), chain_.value());
+}
+
+bool StageCheckpointer::Restore(const std::string& stage,
+                                const CheckpointStore::RestoreFn& restore) {
+  return store_.Restore(StageName(stage), chain_.value(),
+                        [&](const ArtifactReader& doc) -> Status {
+                          GREATER_RETURN_NOT_OK(restore(doc));
+                          chain_.Mix(doc.bytes());
+                          return Status::OK();
+                        });
 }
 
 std::optional<ArtifactReader> StageCheckpointer::TryLoad(
     const std::string& stage) {
-  if (!enabled()) return std::nullopt;
-  Result<std::string> bytes = ReadFileBytes(StagePath(stage));
-  if (!bytes.ok()) {
-    // Absent file, unreadable file, injected "ckpt.read" fault — all are
-    // cache misses; the stage recomputes.
-    MissCounter().Increment();
-    return std::nullopt;
-  }
-  std::string payload = std::move(bytes).ValueOrDie();
-  Result<ArtifactReader> doc =
-      ArtifactReader::Parse(payload, kKind, kVersion);
-  if (!doc.ok()) {
-    // Torn write survivor, bit rot, or a future format: typed corruption,
-    // degraded to a recompute — never a crash, never partial state.
-    CorruptCounter().Increment();
-    MissCounter().Increment();
-    return std::nullopt;
-  }
-  Mix(payload);
-  HitCounter().Increment();
-  return std::move(doc).ValueOrDie();
+  std::optional<ArtifactReader> loaded;
+  Restore(stage, [&](const ArtifactReader& doc) {
+    loaded = doc;
+    return Status::OK();
+  });
+  return loaded;
+}
+
+void StageCheckpointer::Store(const std::string& stage,
+                              const CheckpointStore::BuildFn& build) {
+  if (!enabled()) return;
+  // The file key is the pre-store chain — the position Restore probed at
+  // before it missed.
+  chain_.Mix(store_.Store(StageName(stage), chain_.value(), build));
 }
 
 void StageCheckpointer::Store(const std::string& stage,
                               const ArtifactWriter& doc) {
-  std::string bytes = doc.Finish();
-  // The file key is the PRE-store chain — the position TryLoad hashed at
-  // before it missed.
-  std::string path = StagePath(stage);
-  // The chain must advance whether or not the write lands (and even with
-  // checkpointing disabled), so downstream stage keys are identical on the
-  // hit, miss, and disabled paths.
-  Mix(bytes);
-  if (!enabled()) return;
-  if (!dir_ready_) {
-    if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) {
-      StoreFailureCounter().Increment();
-      return;
-    }
-    dir_ready_ = true;
-  }
-  Status status = AtomicWriteFile(path, bytes);
-  if (status.ok()) {
-    StoreCounter().Increment();
-  } else {
-    StoreFailureCounter().Increment();
-  }
+  Store(stage, [&](ArtifactWriter* out) {
+    *out = doc;
+    return Status::OK();
+  });
 }
 
 }  // namespace greater

@@ -7,13 +7,15 @@
 #include <string_view>
 
 #include "common/artifact_io.h"
-#include "common/status.h"
+#include "common/checkpoint_store.h"
 #include "tabular/table.h"
 
 namespace greater {
 
-/// Stage-level checkpoint store for the multi-table pipeline (see
-/// DESIGN.md, "Durability & recovery").
+/// Stage-level checkpoints for the multi-table pipeline (see DESIGN.md,
+/// "Checkpoint store"): a chain-over-payloads keying policy on top of a
+/// CheckpointStore of kind `greater.stage_checkpoint` counted under
+/// `ckpt.stage_*`.
 ///
 /// Each checkpointed stage persists its outputs to
 /// `<dir>/stage.<name>.<chain>.ckpt`, where `chain` is a running content
@@ -24,60 +26,58 @@ namespace greater {
 /// whose checkpoint is missing; any input or option change flips the chain
 /// and every downstream key with it, so stale state can never be reused.
 ///
-/// The chain advances identically on the hit and miss paths — TryLoad
-/// mixes the loaded document's bytes on a hit, Store mixes the document it
-/// writes on a miss — because stage payloads serialize deterministically.
-/// That identity is what makes resume byte-exact: a run resumed from any
-/// prefix of checkpoints produces the same final tables, bit for bit, as
-/// the uninterrupted run (each payload carries the RNG state to restore).
+/// The chain advances identically on the hit and miss paths — a restored
+/// document's bytes on a hit, the stored document's bytes on a miss —
+/// because stage payloads serialize deterministically. A document that
+/// fails to restore leaves the chain where it was, so the recompute keys
+/// every later stage exactly as a clean run does. That identity is what
+/// makes resume byte-exact: a run resumed from any prefix of checkpoints
+/// produces the same final tables, bit for bit, as the uninterrupted run
+/// (each payload carries the RNG state to restore).
 ///
-/// Failure policy: checkpoints accelerate, never gate. A missing,
-/// truncated, corrupt, or version-skewed file — or an injected "ckpt.read"
-/// fault — is a cache miss and the stage recomputes; a failed write (torn
-/// disk, injected "ckpt.write" fault) is counted and swallowed, leaving
-/// the previous file (if any) intact thanks to the atomic writer. Exports
-/// ckpt.stage_hits / ckpt.stage_misses / ckpt.stage_corrupt /
-/// ckpt.stage_stores / ckpt.stage_store_failures.
+/// Disabled when `dir` is empty: nothing is hashed, built or written, and
+/// the keys are never observed.
 class StageCheckpointer {
  public:
   /// Artifact kind written for every stage checkpoint document.
   static constexpr const char* kKind = "greater.stage_checkpoint";
   static constexpr uint32_t kVersion = 1;
 
-  /// Disabled when `dir` is empty: every TryLoad misses, every Store is a
-  /// no-op, and Mix still advances the chain (so enabling checkpoints
-  /// never changes what a run computes, only what it persists).
   explicit StageCheckpointer(std::string dir);
 
-  bool enabled() const { return !dir_.empty(); }
+  bool enabled() const { return store_.enabled(); }
 
   /// Folds raw bytes into the running fingerprint chain.
   void Mix(std::string_view bytes);
   /// Convenience: mixes the table's binary serialization (schema + cells).
   void MixTable(const Table& table);
 
-  uint64_t chain() const { return chain_; }
+  uint64_t chain() const { return chain_.value(); }
 
   /// Path the checkpoint for `stage` would use under the current chain.
   std::string StagePath(const std::string& stage) const;
 
-  /// Attempts to load `stage`'s checkpoint at the current chain position.
-  /// On a hit the document's bytes are mixed into the chain and the parsed
-  /// reader returned; on any miss (absent, corrupt, injected fault)
-  /// nullopt is returned, the chain is untouched, and the caller is
-  /// expected to recompute and Store.
+  /// Restores `stage`'s checkpoint at the current chain position. On a hit
+  /// (the document parsed and `restore` succeeded) its bytes are mixed
+  /// into the chain; on any miss the chain is untouched and the caller
+  /// recomputes and stores.
+  bool Restore(const std::string& stage,
+               const CheckpointStore::RestoreFn& restore);
+
+  /// Restore with no decoding: returns the parsed document on a hit.
   std::optional<ArtifactReader> TryLoad(const std::string& stage);
 
-  /// Serializes `doc`, mixes its bytes into the chain, and best-effort
-  /// persists it under `stage`'s key. Write failures are counted
-  /// (ckpt.stage_store_failures) and swallowed — the run continues and the
-  /// next run recomputes the stage.
+  /// Builds `stage`'s document, mixes its bytes into the chain, and
+  /// best-effort persists it under the pre-store key. Failures are
+  /// counted (ckpt.stage_store_failures) and swallowed — the run continues
+  /// and the next run recomputes the stage.
+  void Store(const std::string& stage, const CheckpointStore::BuildFn& build);
+  /// Store of an already built document.
   void Store(const std::string& stage, const ArtifactWriter& doc);
 
  private:
-  std::string dir_;
-  uint64_t chain_;
-  bool dir_ready_ = false;
+  CheckpointStore store_;
+  CheckpointChain chain_;
 };
 
 }  // namespace greater

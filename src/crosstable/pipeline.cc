@@ -212,7 +212,9 @@ Result<Table> MergeParents(const Table& parent1, const Table& parent2,
 
 // ---- Stage-checkpoint payload codecs (see StageCheckpointer). Every
 // codec is deterministic for equal inputs — the chain identity between the
-// hit and miss paths depends on it. ----
+// hit and miss paths depends on it. Every Restore* decodes into locals and
+// commits only once the whole document decoded, so a checkpoint that fails
+// to restore leaves the run's state untouched for the recompute. ----
 
 void AppendStringList(const std::vector<std::string>& list, ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(list.size()));
@@ -307,32 +309,43 @@ Status RestorePrepareStage(const ArtifactReader& doc, Table* parent,
                            std::vector<std::string>* caret2,
                            MappingSystem* mapping, PipelineResult* result,
                            Rng* rng) {
+  Table p, t1, t2;
   {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("tables"));
     ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadTable(&r, parent));
-    GREATER_RETURN_NOT_OK(ReadTable(&r, c1));
-    GREATER_RETURN_NOT_OK(ReadTable(&r, c2));
+    GREATER_RETURN_NOT_OK(ReadTable(&r, &p));
+    GREATER_RETURN_NOT_OK(ReadTable(&r, &t1));
+    GREATER_RETURN_NOT_OK(ReadTable(&r, &t2));
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
+  std::vector<std::string> dropped, contextual, mapped, k1, k2;
   {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("lists"));
     ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(
-        ReadStringList(&r, &result->identifier_columns_dropped));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, &result->contextual_columns));
-    GREATER_RETURN_NOT_OK(
-        ReadStringList(&r, &result->semantically_mapped_columns));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, caret1));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, caret2));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &dropped));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &contextual));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &mapped));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &k1));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &k2));
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("mapping"));
-    GREATER_ASSIGN_OR_RETURN(*mapping,
-                             MappingSystem::Deserialize(std::string(payload)));
-  }
-  return ReadRngChunk(doc, rng);
+  GREATER_ASSIGN_OR_RETURN(std::string_view mapping_bytes,
+                           doc.Chunk("mapping"));
+  GREATER_ASSIGN_OR_RETURN(
+      MappingSystem m, MappingSystem::Deserialize(std::string(mapping_bytes)));
+  Rng restored_rng;
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored_rng));
+  *parent = std::move(p);
+  *c1 = std::move(t1);
+  *c2 = std::move(t2);
+  result->identifier_columns_dropped = std::move(dropped);
+  result->contextual_columns = std::move(contextual);
+  result->semantically_mapped_columns = std::move(mapped);
+  *caret1 = std::move(k1);
+  *caret2 = std::move(k2);
+  *mapping = std::move(m);
+  *rng = restored_rng;
+  return Status::OK();
 }
 
 void BuildFuseStageDoc(const Table& fused, const PipelineResult& result,
@@ -354,31 +367,40 @@ void BuildFuseStageDoc(const Table& fused, const PipelineResult& result,
 
 Status RestoreFuseStage(const ArtifactReader& doc, Table* fused,
                         PipelineResult* result, Rng* rng) {
+  Table f;
   {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("fused"));
     ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadTable(&r, fused));
+    GREATER_RETURN_NOT_OK(ReadTable(&r, &f));
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
+  uint64_t flattened_rows = 0;
+  IndependenceResult independence;
+  ReductionStats reduction;
   {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("stats"));
     ByteReader r(payload);
     uint64_t v = 0;
+    GREATER_RETURN_NOT_OK(r.GetU64(&flattened_rows));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &independence.independent));
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &independence.dependent));
+    GREATER_RETURN_NOT_OK(r.GetF64(&independence.threshold));
     GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->flattened_rows = v;
-    GREATER_RETURN_NOT_OK(
-        ReadStringList(&r, &result->independence.independent));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, &result->independence.dependent));
-    GREATER_RETURN_NOT_OK(r.GetF64(&result->independence.threshold));
+    reduction.rows_before = v;
     GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->reduction.rows_before = v;
+    reduction.rows_after = v;
     GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->reduction.rows_after = v;
-    GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->reduction.columns_removed = v;
+    reduction.columns_removed = v;
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
-  return ReadRngChunk(doc, rng);
+  Rng restored_rng;
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored_rng));
+  *fused = std::move(f);
+  result->flattened_rows = flattened_rows;
+  result->independence = std::move(independence);
+  result->reduction = reduction;
+  *rng = restored_rng;
+  return Status::OK();
 }
 
 Status BuildFitStageDoc(
@@ -395,13 +417,20 @@ Status BuildFitStageDoc(
 Status RestoreFitStage(const ArtifactReader& doc,
                        const std::vector<RelationalSynthesizer*>& models,
                        Rng* rng) {
+  std::vector<RelationalSynthesizer> restored(models.size());
   for (size_t i = 0; i < models.size(); ++i) {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload,
                              doc.Chunk("model" + std::to_string(i)));
-    GREATER_RETURN_NOT_OK_CTX(models[i]->DeserializeBinary(payload),
+    GREATER_RETURN_NOT_OK_CTX(restored[i].DeserializeBinary(payload),
                               "checkpointed model " + std::to_string(i));
   }
-  return ReadRngChunk(doc, rng);
+  Rng restored_rng;
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored_rng));
+  for (size_t i = 0; i < models.size(); ++i) {
+    *models[i] = std::move(restored[i]);
+  }
+  *rng = restored_rng;
+  return Status::OK();
 }
 
 void BuildSampleStageDoc(const std::vector<const Table*>& tables,
@@ -421,20 +450,29 @@ void BuildSampleStageDoc(const std::vector<const Table*>& tables,
 Status RestoreSampleStage(const ArtifactReader& doc,
                           const std::vector<Table*>& tables,
                           SampleReport* report, Rng* rng) {
+  std::vector<Table> restored(tables.size());
   for (size_t i = 0; i < tables.size(); ++i) {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload,
                              doc.Chunk("table" + std::to_string(i)));
     ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadTable(&r, tables[i]));
+    GREATER_RETURN_NOT_OK(ReadTable(&r, &restored[i]));
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
+  SampleReport stored;
   {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("report"));
     ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadReport(&r, report));
+    GREATER_RETURN_NOT_OK(ReadReport(&r, &stored));
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
-  return ReadRngChunk(doc, rng);
+  Rng restored_rng;
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored_rng));
+  for (size_t i = 0; i < tables.size(); ++i) {
+    *tables[i] = std::move(restored[i]);
+  }
+  *report = stored;
+  *rng = restored_rng;
+  return Status::OK();
 }
 
 }  // namespace
@@ -503,9 +541,10 @@ Result<PipelineResult> MultiTablePipeline::Run(
   // fingerprints everything that can influence any stage: the full run
   // configuration, the key column, the starting RNG state, and both input
   // tables. A resumed run either reproduces this one bit for bit or
-  // misses every key. ----
+  // misses every key. Without a checkpoint dir nothing is fingerprinted.
+  // ----
   StageCheckpointer ckpt(options_.checkpoint_dir);
-  {
+  if (ckpt.enabled()) {
     ByteWriter w;
     w.PutU8(static_cast<uint8_t>(options_.fusion));
     w.PutU8(static_cast<uint8_t>(options_.semantic));
@@ -545,12 +584,11 @@ Result<PipelineResult> MultiTablePipeline::Run(
   Table parent, c1, c2;
   MappingSystem mapping;
 
-  if (auto hit = ckpt.TryLoad("prepare")) {
+  if (ckpt.Restore("prepare", [&](const ArtifactReader& doc) {
+        return RestorePrepareStage(doc, &parent, &c1, &c2, &caret1, &caret2,
+                                   &mapping, &result, rng);
+      })) {
     stage.emplace("stage.resume");
-    GREATER_RETURN_NOT_OK_CTX(
-        RestorePrepareStage(*hit, &parent, &c1, &c2, &caret1, &caret2,
-                            &mapping, &result, rng),
-        StageContext("prepare", "checkpoint"));
   } else {
   stage.emplace("stage.enhancement");
   // ---- Step 0: identifier-column removal (Sec. 4.1.2). ----
@@ -700,11 +738,11 @@ Result<PipelineResult> MultiTablePipeline::Run(
     }
   }
 
-  ArtifactWriter prepare_doc(StageCheckpointer::kKind,
-                             StageCheckpointer::kVersion);
-  BuildPrepareStageDoc(parent, c1, c2, caret1, caret2, mapping, result,
-                       *rng, &prepare_doc);
-  ckpt.Store("prepare", prepare_doc);
+  ckpt.Store("prepare", [&](ArtifactWriter* doc) {
+    BuildPrepareStageDoc(parent, c1, c2, caret1, caret2, mapping, result,
+                         *rng, doc);
+    return Status::OK();
+  });
   }  // prepare stage (checkpoint miss path)
 
   // ---- Steps 3+4: fusion and synthesis. ----
@@ -732,31 +770,28 @@ Result<PipelineResult> MultiTablePipeline::Run(
   if (options_.fusion == FusionMethod::kDerecIndependent) {
     RelationalSynthesizer rs1(rs_options);
     RelationalSynthesizer rs2(rs_options);
-    if (auto hit = ckpt.TryLoad("fit")) {
+    if (ckpt.Restore("fit", [&](const ArtifactReader& doc) {
+          return RestoreFitStage(doc, {&rs1, &rs2}, rng);
+        })) {
       stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(RestoreFitStage(*hit, {&rs1, &rs2}, rng),
-                                StageContext("fit", "checkpoint"));
     } else {
       stage.emplace("stage.fit");
       GREATER_RETURN_NOT_OK_CTX(rs1.Fit(parent, c1, key_column, rng),
                                 StageContext("fit", "child1"));
       GREATER_RETURN_NOT_OK_CTX(rs2.Fit(parent, c2, key_column, rng),
                                 StageContext("fit", "child2"));
-      ArtifactWriter doc(StageCheckpointer::kKind,
-                         StageCheckpointer::kVersion);
-      GREATER_RETURN_NOT_OK_CTX(BuildFitStageDoc({&rs1, &rs2}, *rng, &doc),
-                                StageContext("fit", "child1+child2"));
-      ckpt.Store("fit", doc);
+      ckpt.Store("fit", [&](ArtifactWriter* doc) {
+        return BuildFitStageDoc({&rs1, &rs2}, *rng, doc);
+      });
     }
     RelationalSample sample1;
     Table child2_rows;
-    if (auto hit = ckpt.TryLoad("sample")) {
+    if (ckpt.Restore("sample", [&](const ArtifactReader& doc) {
+          return RestoreSampleStage(
+              doc, {&sample1.parent, &sample1.child, &child2_rows},
+              &result.sample_report, rng);
+        })) {
       stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(
-          RestoreSampleStage(*hit,
-                             {&sample1.parent, &sample1.child, &child2_rows},
-                             &result.sample_report, rng),
-          StageContext("sample", "checkpoint"));
     } else {
       stage.emplace("stage.sample");
       GREATER_ASSIGN_OR_RETURN_CTX(
@@ -766,11 +801,11 @@ Result<PipelineResult> MultiTablePipeline::Run(
           child2_rows,
           rs2.SampleChildren(sample1.parent, rng, &result.sample_report),
           StageContext("sample", "child2"));
-      ArtifactWriter doc(StageCheckpointer::kKind,
-                         StageCheckpointer::kVersion);
-      BuildSampleStageDoc({&sample1.parent, &sample1.child, &child2_rows},
-                          result.sample_report, *rng, &doc);
-      ckpt.Store("sample", doc);
+      ckpt.Store("sample", [&](ArtifactWriter* doc) {
+        BuildSampleStageDoc({&sample1.parent, &sample1.child, &child2_rows},
+                            result.sample_report, *rng, doc);
+        return Status::OK();
+      });
     }
     stage.emplace("stage.flatten");
     GREATER_ASSIGN_OR_RETURN_CTX(
@@ -784,10 +819,10 @@ Result<PipelineResult> MultiTablePipeline::Run(
     result.fused_training_rows = c1.num_rows() + c2.num_rows();
   } else {
     Table fused;
-    if (auto hit = ckpt.TryLoad("fuse")) {
+    if (ckpt.Restore("fuse", [&](const ArtifactReader& doc) {
+          return RestoreFuseStage(doc, &fused, &result, rng);
+        })) {
       stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(RestoreFuseStage(*hit, &fused, &result, rng),
-                                StageContext("fuse", "checkpoint"));
       MetricsRegistry::Global()
           .GetGauge("pipeline.flattened_rows")
           .Set(static_cast<double>(result.flattened_rows));
@@ -846,44 +881,42 @@ Result<PipelineResult> MultiTablePipeline::Run(
         result.reduction.rows_after = flat.num_rows();
       }
     }
-    ArtifactWriter doc(StageCheckpointer::kKind, StageCheckpointer::kVersion);
-    BuildFuseStageDoc(fused, result, *rng, &doc);
-    ckpt.Store("fuse", doc);
+    ckpt.Store("fuse", [&](ArtifactWriter* doc) {
+      BuildFuseStageDoc(fused, result, *rng, doc);
+      return Status::OK();
+    });
     }  // fuse stage (checkpoint miss path)
     result.fused_training_rows = fused.num_rows();
 
     RelationalSynthesizer rs(rs_options);
-    if (auto hit = ckpt.TryLoad("fit")) {
+    if (ckpt.Restore("fit", [&](const ArtifactReader& doc) {
+          return RestoreFitStage(doc, {&rs}, rng);
+        })) {
       stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(RestoreFitStage(*hit, {&rs}, rng),
-                                StageContext("fit", "checkpoint"));
     } else {
       stage.emplace("stage.fit");
       GREATER_RETURN_NOT_OK_CTX(rs.Fit(parent, fused, key_column, rng),
                                 StageContext("fit", "fused"));
-      ArtifactWriter fit_doc(StageCheckpointer::kKind,
-                             StageCheckpointer::kVersion);
-      GREATER_RETURN_NOT_OK_CTX(BuildFitStageDoc({&rs}, *rng, &fit_doc),
-                                StageContext("fit", "fused"));
-      ckpt.Store("fit", fit_doc);
+      ckpt.Store("fit", [&](ArtifactWriter* doc) {
+        return BuildFitStageDoc({&rs}, *rng, doc);
+      });
     }
     RelationalSample sample;
-    if (auto hit = ckpt.TryLoad("sample")) {
+    if (ckpt.Restore("sample", [&](const ArtifactReader& doc) {
+          return RestoreSampleStage(doc, {&sample.parent, &sample.child},
+                                    &result.sample_report, rng);
+        })) {
       stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(
-          RestoreSampleStage(*hit, {&sample.parent, &sample.child},
-                             &result.sample_report, rng),
-          StageContext("sample", "checkpoint"));
     } else {
       stage.emplace("stage.sample");
       GREATER_ASSIGN_OR_RETURN_CTX(
           sample, rs.Sample(num_parents, rng, &result.sample_report),
           StageContext("sample", "fused"));
-      ArtifactWriter sample_doc(StageCheckpointer::kKind,
-                                StageCheckpointer::kVersion);
-      BuildSampleStageDoc({&sample.parent, &sample.child},
-                          result.sample_report, *rng, &sample_doc);
-      ckpt.Store("sample", sample_doc);
+      ckpt.Store("sample", [&](ArtifactWriter* doc) {
+        BuildSampleStageDoc({&sample.parent, &sample.child},
+                            result.sample_report, *rng, doc);
+        return Status::OK();
+      });
     }
     stage.emplace("stage.flatten");
     GREATER_ASSIGN_OR_RETURN_CTX(
@@ -970,19 +1003,21 @@ Result<PipelineResult> MultiTablePipeline::RunFromCsv(
   Table child1, child2;
   {
     Span span("pipeline.ingest");
-    // Per-file chunk checkpointers: a killed ingest re-reads (cheap) but
-    // re-parses only the chunk that was in flight.
-    ChunkCheckpointer ckpt1(options_.checkpoint_dir, "ingest.child1");
-    ChunkCheckpointer ckpt2(options_.checkpoint_dir, "ingest.child2");
+    // Per-file chunk chains: a killed ingest re-reads (cheap) but re-parses
+    // only the chunk that was in flight.
     GREATER_ASSIGN_OR_RETURN_CTX(
         child1,
         ReadCsvFileStreaming(csv1_path, csv_options, stream, policy,
-                             &report1, &ckpt1, &quarantine),
+                             &report1,
+                             {options_.checkpoint_dir, "ingest.child1"},
+                             &quarantine),
         StageContext("ingest", "child1"));
     GREATER_ASSIGN_OR_RETURN_CTX(
         child2,
         ReadCsvFileStreaming(csv2_path, csv_options, stream, policy,
-                             &report2, &ckpt2, &quarantine),
+                             &report2,
+                             {options_.checkpoint_dir, "ingest.child2"},
+                             &quarantine),
         StageContext("ingest", "child2"));
   }
   GREATER_ASSIGN_OR_RETURN(PipelineResult result,

@@ -93,15 +93,15 @@ struct PipelineOptions {
   std::string checkpoint_dir;
   /// Erase the mapping system after synthesis (privacy, Sec. 3.2.3).
   bool erase_mapping_after_run = true;
-  /// Streaming runtime knobs (src/stream). `stream.enabled` moves the
-  /// pipeline's ingest (RunFromCsv) and flatten paths onto the chunked
-  /// bounded-queue runtime: memory stays bounded by queue_capacity ×
-  /// chunk_rows rows per queue, malformed input records degrade per the
-  /// run policy instead of aborting, and — with `checkpoint_dir` set —
-  /// ingest resumes per chunk after a crash. Output is byte-identical to
-  /// the in-memory paths; stream knobs are deliberately excluded from the
-  /// checkpoint fingerprint so toggling them never invalidates stage
-  /// checkpoints.
+  /// Streaming runtime knobs (src/stream). RunFromCsv always ingests on
+  /// the chunked bounded-queue runtime: memory stays bounded by
+  /// queue_capacity × chunk_rows rows per queue, malformed input records
+  /// degrade per the run policy instead of aborting, and — with
+  /// `checkpoint_dir` set — ingest resumes per chunk after a crash.
+  /// `stream.enabled` selects only the flatten path (DirectFlattenStreaming
+  /// instead of DirectFlatten). Output is byte-identical either way;
+  /// stream knobs are deliberately excluded from the checkpoint
+  /// fingerprint so toggling them never invalidates stage checkpoints.
   StreamOptions stream;
 };
 

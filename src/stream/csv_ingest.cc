@@ -13,7 +13,6 @@
 
 #include "common/fault.h"
 #include "common/strings.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "stream/bounded_queue.h"
 #include "stream/stream_runtime.h"
@@ -120,16 +119,32 @@ using BlockSource = std::function<Result<std::string>()>;
 
 }  // namespace
 
+CheckpointStore ChunkCheckpointStore(std::string dir) {
+  return CheckpointStore(std::move(dir), "greater.chunk_checkpoint", 1,
+                         "stream.chunk");
+}
+
+std::string ChunkCheckpointName(std::string_view label, uint64_t index) {
+  std::string name = "chunk.";
+  name += label;
+  name += '.';
+  name += std::to_string(index);
+  return name;
+}
+
 // Owns the running pipeline. Queues are declared before the runtime so
 // they outlive it: the runtime's destructor joins every worker, and
 // workers touch the queues until they exit.
 struct CsvChunkReader::Impl {
   Impl(const CsvReadOptions& csv_in, const StreamOptions& stream_in,
-       StreamPolicy policy_in, std::string label)
+       StreamPolicy policy_in, std::string label,
+       const ChunkCheckpointing& checkpoint)
       : csv(csv_in),
         stream(stream_in),
         policy(policy_in),
         source_label(std::move(label)),
+        ckpt(ChunkCheckpointStore(checkpoint.dir)),
+        ckpt_label(checkpoint.label),
         chunk_rows(std::max<size_t>(1, stream_in.chunk_rows)),
         num_workers(std::max<size_t>(1, stream_in.num_workers)),
         raw_q("ingest.raw", stream_in.queue_capacity),
@@ -141,6 +156,9 @@ struct CsvChunkReader::Impl {
   StreamOptions stream;
   StreamPolicy policy;
   std::string source_label;
+  CheckpointStore ckpt;
+  std::string ckpt_label;
+  CheckpointChain chain;  // reader thread only, until the join
   size_t chunk_rows;
   size_t num_workers;
   size_t num_cols = 0;
@@ -150,7 +168,6 @@ struct CsvChunkReader::Impl {
   StreamIngestReport* report = nullptr;
   QuarantineWriter count_only{""};
   QuarantineWriter* quarantine = nullptr;
-  ChunkCheckpointer* ckpt = nullptr;
 
   BoundedQueue<std::unique_ptr<ChunkTask>> raw_q;
   BoundedQueue<std::unique_ptr<CsvChunk>> parsed_q;
@@ -197,7 +214,7 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
   num_cols = header.fields.size();
   header_fields = header.fields;
 
-  if (ckpt != nullptr) {
+  if (ckpt.enabled()) {
     // Options fingerprint: anything that changes what a chunk computes
     // must flip every chunk key.
     ByteWriter fp;
@@ -207,8 +224,8 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
     fp.PutU64(chunk_rows);
     fp.PutU64(stream.max_record_bytes);
     fp.PutBool(policy == StreamPolicy::kLenient);
-    ckpt->Mix(fp.bytes());
-    ckpt->Mix(header.raw);
+    chain.Mix(fp.bytes());
+    chain.Mix(header.raw);
   }
 
   runtime.RegisterQueue(&raw_q);
@@ -225,25 +242,21 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
         std::string chunk_raw;  // raw bytes of this chunk, for the chain
         auto flush_chunk = [&]() {
           task->seq = seq;
-          task->key = ckpt != nullptr ? ckpt->MixChunk(chunk_raw) : 0;
-          if (ckpt != nullptr) {
-            std::optional<ArtifactReader> doc = ckpt->TryLoad(seq, task->key);
-            if (doc.has_value()) {
-              auto pre = std::make_unique<CsvChunk>();
-              Status decoded =
-                  DecodeChunk(*doc, source_label, num_cols, pre.get());
-              if (decoded.ok()) {
-                pre->seq = seq;
-                pre->from_checkpoint = true;
-                task->preloaded = std::move(pre);
-                task->records.clear();
-              } else {
-                // Parsed as an artifact but not as a chunk document:
-                // corrupt -> recompute from the raw records we still hold.
-                MetricsRegistry::Global()
-                    .GetCounter("stream.chunk_corrupt")
-                    .Increment();
-              }
+          if (ckpt.enabled()) {
+            chain.Mix(chunk_raw);
+            task->key = chain.value();
+            // A chunk that does not restore is recomputed from the raw
+            // records still held here.
+            auto pre = std::make_unique<CsvChunk>();
+            if (ckpt.Restore(ChunkCheckpointName(ckpt_label, seq), task->key,
+                             [&](const ArtifactReader& doc) {
+                               return DecodeChunk(doc, source_label,
+                                                  num_cols, pre.get());
+                             })) {
+              pre->seq = seq;
+              pre->from_checkpoint = true;
+              task->preloaded = std::move(pre);
+              task->records.clear();
             }
           }
           bool accepted = raw_q.Push(std::move(task));
@@ -262,8 +275,10 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
           }
           switch (*next) {
             case CsvRecordSplitter::Next::kRecord:
-              chunk_raw += record.raw;
-              chunk_raw += '\n';
+              if (ckpt.enabled()) {
+                chunk_raw += record.raw;
+                chunk_raw += '\n';
+              }
               task->records.push_back(std::move(record));
               if (task->records.size() >= chunk_rows && !flush_chunk()) {
                 return Status::OK();  // pipeline is shutting down
@@ -343,12 +358,11 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
             }
             chunk->rows.push_back(std::move(record.fields));
           }
-          if (ckpt != nullptr) {
-            ArtifactWriter doc(ChunkCheckpointer::kKind,
-                               ChunkCheckpointer::kVersion);
-            EncodeChunk(*chunk, &doc);
-            ckpt->Store(task->seq, task->key, doc);
-          }
+          ckpt.Store(ChunkCheckpointName(ckpt_label, task->seq), task->key,
+                     [&](ArtifactWriter* doc) {
+                       EncodeChunk(*chunk, doc);
+                       return Status::OK();
+                     });
         }
         if (!parsed_q.Push(std::move(chunk))) break;
       }
@@ -379,6 +393,10 @@ CsvChunkReader::~CsvChunkReader() {
 
 const std::vector<std::string>& CsvChunkReader::header() const {
   return impl_->header_fields;
+}
+
+uint64_t CsvChunkReader::content_chain() const {
+  return impl_->chain.value();
 }
 
 Result<std::optional<CsvChunk>> CsvChunkReader::Next() {
@@ -438,7 +456,7 @@ Status CsvChunkReader::Close() {
 Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
     const std::string& path, const CsvReadOptions& csv_options,
     const StreamOptions& options, StreamPolicy policy,
-    StreamIngestReport* report, ChunkCheckpointer* checkpointer,
+    StreamIngestReport* report, const ChunkCheckpointing& checkpoint,
     QuarantineWriter* quarantine) {
   auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
   if (!*in) {
@@ -455,11 +473,11 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
     block.resize(static_cast<size_t>(got));
     return block;
   };
-  auto impl = std::make_unique<Impl>(csv_options, options, policy, path);
+  auto impl = std::make_unique<Impl>(csv_options, options, policy, path,
+                                     checkpoint);
   impl->report = report != nullptr ? report : &impl->local_report;
   *impl->report = StreamIngestReport();
   impl->quarantine = quarantine != nullptr ? quarantine : &impl->count_only;
-  impl->ckpt = checkpointer;
   GREATER_RETURN_NOT_OK(impl->Start(std::move(source)));
   return std::unique_ptr<CsvChunkReader>(new CsvChunkReader(std::move(impl)));
 }
@@ -467,7 +485,7 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
 Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
     const std::string& text, const CsvReadOptions& csv_options,
     const StreamOptions& options, StreamPolicy policy,
-    StreamIngestReport* report, ChunkCheckpointer* checkpointer,
+    StreamIngestReport* report, const ChunkCheckpointing& checkpoint,
     QuarantineWriter* quarantine, const std::string& source_label) {
   size_t block_bytes = std::max<size_t>(1, options.io_block_bytes);
   auto copy = std::make_shared<std::string>(text);
@@ -479,12 +497,11 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
     *offset += n;
     return block;
   };
-  auto impl =
-      std::make_unique<Impl>(csv_options, options, policy, source_label);
+  auto impl = std::make_unique<Impl>(csv_options, options, policy,
+                                     source_label, checkpoint);
   impl->report = report != nullptr ? report : &impl->local_report;
   *impl->report = StreamIngestReport();
   impl->quarantine = quarantine != nullptr ? quarantine : &impl->count_only;
-  impl->ckpt = checkpointer;
   GREATER_RETURN_NOT_OK(impl->Start(std::move(source)));
   return std::unique_ptr<CsvChunkReader>(new CsvChunkReader(std::move(impl)));
 }
@@ -605,14 +622,14 @@ Result<Table> ReadCsvFileStreaming(const std::string& path,
                                    const StreamOptions& options,
                                    StreamPolicy policy,
                                    StreamIngestReport* report,
-                                   ChunkCheckpointer* checkpointer,
+                                   const ChunkCheckpointing& checkpoint,
                                    QuarantineWriter* quarantine) {
   GREATER_FAULT_POINT("csv.read");
   Span span("stream.ingest");
   GREATER_ASSIGN_OR_RETURN(
       std::unique_ptr<CsvChunkReader> reader,
       CsvChunkReader::OpenFile(path, csv_options, options, policy, report,
-                               checkpointer, quarantine));
+                               checkpoint, quarantine));
   return DrainToTable(reader.get(), csv_options);
 }
 
@@ -621,7 +638,7 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
                                      const StreamOptions& options,
                                      StreamPolicy policy,
                                      StreamIngestReport* report,
-                                     ChunkCheckpointer* checkpointer,
+                                     const ChunkCheckpointing& checkpoint,
                                      QuarantineWriter* quarantine,
                                      const std::string& source_label) {
   GREATER_FAULT_POINT("csv.read");
@@ -629,7 +646,7 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
   GREATER_ASSIGN_OR_RETURN(
       std::unique_ptr<CsvChunkReader> reader,
       CsvChunkReader::OpenString(text, csv_options, options, policy, report,
-                                 checkpointer, quarantine, source_label));
+                                 checkpoint, quarantine, source_label));
   return DrainToTable(reader.get(), csv_options);
 }
 
@@ -638,13 +655,13 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        const StreamOptions& options,
                                        StreamPolicy policy,
                                        StreamIngestReport* report,
-                                       ChunkCheckpointer* checkpointer,
-                                       QuarantineWriter* quarantine) {
+                                       const ChunkCheckpointing& checkpoint,
+                                       uint64_t* content_chain) {
   Span span("stream.schema");
   GREATER_ASSIGN_OR_RETURN(
       std::unique_ptr<CsvChunkReader> reader,
       CsvChunkReader::OpenFile(path, csv_options, options, policy, report,
-                               checkpointer, quarantine));
+                               checkpoint));
   const size_t num_cols = reader->header().size();
   std::vector<CsvColumnFlags> merged(num_cols);
   for (;;) {
@@ -653,6 +670,7 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
     MergeChunkFlags(*chunk, &merged);
   }
   GREATER_RETURN_NOT_OK(reader->Close());
+  if (content_chain != nullptr) *content_chain = reader->content_chain();
   return SchemaFromCsvFlags(reader->header(), merged,
                             csv_options.infer_types);
 }

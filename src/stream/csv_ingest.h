@@ -6,10 +6,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/checkpoint_store.h"
 #include "common/status.h"
-#include "stream/chunk_checkpoint.h"
 #include "stream/quarantine.h"
 #include "stream/stream_options.h"
 #include "tabular/csv.h"
@@ -17,6 +18,23 @@
 #include "tabular/table.h"
 
 namespace greater {
+
+/// Per-chunk checkpointing of one chunked pass (CSV ingest or sample
+/// emission). With a non-empty `dir`, chunk i persists in the chunk store
+/// under the name `chunk.<label>.<i>`, keyed by a chain the pass owns;
+/// passes with the same (dir, label, input, options) share chunks. An
+/// empty `dir` disables it: the pass hashes, builds and writes nothing.
+struct ChunkCheckpointing {
+  std::string dir;
+  std::string label;
+};
+
+/// The chunk-grain CheckpointStore: documents of kind
+/// `greater.chunk_checkpoint` v1, counted under `stream.chunk_*`.
+CheckpointStore ChunkCheckpointStore(std::string dir);
+
+/// Store name of chunk `index` of the pass labelled `label`.
+std::string ChunkCheckpointName(std::string_view label, uint64_t index);
 
 /// Chunked, bounded-memory CSV ingest on the streaming runtime.
 ///
@@ -43,9 +61,11 @@ namespace greater {
 /// including on a resumed run (checkpointed chunks re-emit their
 /// quarantined records).
 ///
-/// `checkpointer` (optional) must be freshly constructed per call — the
-/// ingest seeds its chain with an options fingerprint and the chain then
-/// advances with this file's bytes. `quarantine` (optional) receives
+/// With `checkpoint.dir` set, each chunk's key chains an options
+/// fingerprint, the header and the raw bytes of every chunk so far.
+/// Chaining over raw input, never stored documents, makes the hit and miss
+/// paths chain-identical, so a rerun after a crash loads every completed
+/// chunk and parses only the rest. `quarantine` (optional) receives
 /// diverted records under the lenient policy; without it they are still
 /// counted in the report and the `stream.quarantined_records` counter.
 Result<Table> ReadCsvFileStreaming(const std::string& path,
@@ -53,7 +73,7 @@ Result<Table> ReadCsvFileStreaming(const std::string& path,
                                    const StreamOptions& options,
                                    StreamPolicy policy,
                                    StreamIngestReport* report = nullptr,
-                                   ChunkCheckpointer* checkpointer = nullptr,
+                                   const ChunkCheckpointing& checkpoint = {},
                                    QuarantineWriter* quarantine = nullptr);
 
 /// In-memory variant (tests, embedded inputs): identical semantics, the
@@ -64,7 +84,7 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
                                      const StreamOptions& options,
                                      StreamPolicy policy,
                                      StreamIngestReport* report = nullptr,
-                                     ChunkCheckpointer* checkpointer = nullptr,
+                                     const ChunkCheckpointing& checkpoint = {},
                                      QuarantineWriter* quarantine = nullptr,
                                      const std::string& source_label =
                                          "<memory>");
@@ -108,14 +128,12 @@ struct CsvChunk {
 /// chunks.
 class CsvChunkReader {
  public:
-  /// Opens the file variant. Consumes the header before returning;
-  /// `checkpointer` must be freshly constructed, as with
-  /// ReadCsvFileStreaming.
+  /// Opens the file variant. Consumes the header before returning.
   static Result<std::unique_ptr<CsvChunkReader>> OpenFile(
       const std::string& path, const CsvReadOptions& csv_options,
       const StreamOptions& options, StreamPolicy policy,
       StreamIngestReport* report = nullptr,
-      ChunkCheckpointer* checkpointer = nullptr,
+      const ChunkCheckpointing& checkpoint = {},
       QuarantineWriter* quarantine = nullptr);
 
   /// In-memory variant (tests, embedded inputs).
@@ -123,7 +141,7 @@ class CsvChunkReader {
       const std::string& text, const CsvReadOptions& csv_options,
       const StreamOptions& options, StreamPolicy policy,
       StreamIngestReport* report = nullptr,
-      ChunkCheckpointer* checkpointer = nullptr,
+      const ChunkCheckpointing& checkpoint = {},
       QuarantineWriter* quarantine = nullptr,
       const std::string& source_label = "<memory>");
 
@@ -143,6 +161,11 @@ class CsvChunkReader {
   /// returns the pipeline's terminal status. Idempotent.
   Status Close();
 
+  /// The chunk chain after the last chunk read: a content fingerprint
+  /// over the options, the header and every input byte read. Valid after
+  /// Close(), and only with checkpointing enabled.
+  uint64_t content_chain() const;
+
  private:
   struct Impl;
   explicit CsvChunkReader(std::unique_ptr<Impl> impl);
@@ -159,17 +182,18 @@ Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
 
 /// Schema-only streaming pass: runs the chunked topology, merges each
 /// chunk's type flags, and drops the rows — peak memory is one queue's
-/// worth of chunks. With a checkpointer, every chunk parsed here is
+/// worth of chunks. With checkpointing, every chunk parsed here is
 /// stored, so later passes over the same file (out-of-core fit's vocab
-/// and count passes) are parse-free checkpoint hits.
+/// and count passes) are parse-free checkpoint hits, and
+/// `content_chain` (optional) receives CsvChunkReader::content_chain().
 Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        const CsvReadOptions& csv_options,
                                        const StreamOptions& options,
                                        StreamPolicy policy,
                                        StreamIngestReport* report = nullptr,
-                                       ChunkCheckpointer* checkpointer =
-                                           nullptr,
-                                       QuarantineWriter* quarantine = nullptr);
+                                       const ChunkCheckpointing& checkpoint =
+                                           {},
+                                       uint64_t* content_chain = nullptr);
 
 /// Converts one chunk's raw string rows into a typed Table under a fixed
 /// schema (null_token cells become nulls). kDataLoss when a cell fails to

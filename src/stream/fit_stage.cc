@@ -6,46 +6,44 @@
 
 namespace greater {
 
+namespace {
+
+// Chunk-store label shared by the schema pass and every fit pass.
+constexpr char kFitLabel[] = "oocore.fit";
+
+}  // namespace
+
 Result<FitStage> FitStage::Open(const std::string& csv_path,
                                 const Options& options) {
   Schema schema;
   StreamIngestReport report;
-  // A disabled checkpointer (empty dir) still advances the chain, so the
-  // content fingerprint is available either way.
-  ChunkCheckpointer ckpt(options.checkpoint_dir, options.checkpoint_label);
+  uint64_t content_chain = 0;
   GREATER_ASSIGN_OR_RETURN(
       schema, InferCsvSchemaStreaming(csv_path, options.csv, options.stream,
-                                      options.policy, &report, &ckpt));
+                                      options.policy, &report,
+                                      {options.checkpoint_dir, kFitLabel},
+                                      &content_chain));
   FitStage stage(csv_path, options, std::move(schema));
   stage.report_ = report;
-  stage.content_chain_ = ckpt.chain();
+  stage.content_chain_ = content_chain;
   return stage;
 }
 
 TableChunkSource FitStage::ChunkSource() {
   return [this]() -> Result<TableChunkStream> {
-    // Each pass gets a fresh checkpointer (the chain restarts per pass)
-    // over the shared store, and a fresh reader. Both live in shared
-    // state owned by the stream closure; the checkpointer must outlive
-    // the reader, whose workers store into it.
-    struct PassState {
-      std::unique_ptr<ChunkCheckpointer> ckpt;
-      std::unique_ptr<CsvChunkReader> reader;
-    };
-    auto state = std::make_shared<PassState>();
-    state->ckpt = std::make_unique<ChunkCheckpointer>(
-        options_.checkpoint_dir, options_.checkpoint_label);
+    // Each pass opens a fresh reader, which restarts the chunk chain over
+    // the shared store.
     GREATER_ASSIGN_OR_RETURN(
-        state->reader,
+        std::shared_ptr<CsvChunkReader> reader,
         CsvChunkReader::OpenFile(csv_path_, options_.csv, options_.stream,
                                  options_.policy, &report_,
-                                 state->ckpt.get()));
+                                 {options_.checkpoint_dir, kFitLabel}));
     return TableChunkStream(
-        [this, state]() -> Result<std::optional<Table>> {
+        [this, reader]() -> Result<std::optional<Table>> {
           GREATER_ASSIGN_OR_RETURN(std::optional<CsvChunk> chunk,
-                                   state->reader->Next());
+                                   reader->Next());
           if (!chunk.has_value()) {
-            GREATER_RETURN_NOT_OK(state->reader->Close());
+            GREATER_RETURN_NOT_OK(reader->Close());
             return std::optional<Table>();
           }
           GREATER_ASSIGN_OR_RETURN(

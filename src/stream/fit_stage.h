@@ -25,8 +25,7 @@ namespace greater {
 /// under backpressure instead of holding it in memory.
 ///
 /// With a checkpoint directory configured, all passes share one chunk
-/// store (same directory + label; each pass constructs a fresh
-/// ChunkCheckpointer, as the chain requires): the schema pass parses and
+/// store (same directory, label `oocore.fit`): the schema pass parses and
 /// stores every chunk, later passes are parse-free checkpoint hits, and a
 /// run killed mid-pass resumes from the chunks already stored —
 /// re-running it is byte-identical because chunk keys hash the input
@@ -40,9 +39,6 @@ class FitStage {
     /// Directory for the shared chunk checkpoint store; empty disables
     /// checkpointing (every pass re-parses).
     std::string checkpoint_dir;
-    /// Store label: passes with the same (dir, label, input, options)
-    /// share chunks.
-    std::string checkpoint_label = "oocore.fit";
   };
 
   /// Runs the schema pass. The file must exist and have a header record.
@@ -52,8 +48,8 @@ class FitStage {
   const Schema& schema() const { return schema_; }
 
   /// Chunk-hash chain after the schema pass: a content fingerprint over
-  /// the options, header, and every input byte (the checkpointer chains
-  /// even when disabled). Downstream stage checkpoints (the fitted-model
+  /// the options, header, and every input byte, computed only with a
+  /// checkpoint directory. Downstream stage checkpoints (the fitted-model
   /// artifact) key on it so any input edit invalidates them.
   uint64_t content_chain() const { return content_chain_; }
 

@@ -3,23 +3,25 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "stream/chunk_checkpoint.h"
+#include "stream/csv_ingest.h"
 #include "synth/batch_decode.h"
 #include "tabular/csv.h"
 #include "tabular/table_builder.h"
 
 namespace greater {
 namespace {
+
+constexpr char kEmitLabel[] = "oocore.emit";
 
 void AppendReport(const SampleReport& report, ByteWriter* w) {
   w->PutU64(report.rows_requested);
@@ -91,18 +93,19 @@ Result<SampleReport> SampleRowsToCsvStreaming(
   // The chain covers everything that determines a chunk's bytes: the
   // trained model, the draw seed, and every emission option. Any change
   // flips every chunk key, so stale checkpoints can never replay.
-  ChunkCheckpointer ckpt(options.checkpoint_dir, options.checkpoint_label);
-  {
+  CheckpointStore ckpt = ChunkCheckpointStore(options.checkpoint_dir);
+  CheckpointChain chain;
+  if (ckpt.enabled()) {
     GREATER_ASSIGN_OR_RETURN(std::string model_bytes,
                              model.SerializeBinary());
-    ckpt.Mix(model_bytes);
+    chain.Mix(model_bytes);
     ByteWriter fp;
     fp.PutU64(n);
     fp.PutU64(seed);
     fp.PutU64(chunk_rows);
     fp.PutU8(static_cast<uint8_t>(options.delimiter));
     fp.PutBool(policy == SamplePolicy::kLenient);
-    ckpt.Mix(fp.bytes());
+    chain.Mix(fp.bytes());
   }
 
   // Same base derivation as Sample: `Rng r(seed)` would hand this base to
@@ -149,41 +152,37 @@ Result<SampleReport> SampleRowsToCsvStreaming(
     const size_t end = std::min(n, begin + chunk_rows);
     chunks_counter.Increment();
 
-    ByteWriter descriptor;
-    descriptor.PutU64(chunk_index);
-    descriptor.PutU64(begin);
-    descriptor.PutU64(end);
-    uint64_t key = ckpt.MixChunk(descriptor.bytes());
+    const std::string name = ChunkCheckpointName(kEmitLabel, chunk_index);
+    uint64_t key = 0;
+    if (ckpt.enabled()) {
+      ByteWriter descriptor;
+      descriptor.PutU64(chunk_index);
+      descriptor.PutU64(begin);
+      descriptor.PutU64(end);
+      chain.Mix(descriptor.bytes());
+      key = chain.value();
+    }
 
     SampleReport chunk_report;
     text.clear();
-    bool replayed = false;
-    if (std::optional<ArtifactReader> doc = ckpt.TryLoad(chunk_index, key);
-        doc.has_value()) {
-      // Decode the stored chunk; corrupt payloads fall through to
-      // recompute, matching the ingest side's policy.
-      auto restore = [&]() -> Status {
-        GREATER_ASSIGN_OR_RETURN(std::string_view csv_bytes,
-                                 doc->Chunk("csv"));
-        GREATER_ASSIGN_OR_RETURN(std::string_view report_bytes,
-                                 doc->Chunk("report"));
-        ByteReader r(report_bytes);
-        GREATER_RETURN_NOT_OK(ReadReport(&r, &chunk_report));
-        GREATER_RETURN_NOT_OK(r.ExpectEnd());
-        text.assign(csv_bytes);
-        return Status::OK();
-      };
-      if (restore().ok()) {
-        replayed = true;
-        hits_counter.Increment();
-      } else {
-        chunk_report = SampleReport();
-        text.clear();
-        metrics.GetCounter("stream.chunk_corrupt").Increment();
-      }
-    }
-
-    if (!replayed) {
+    // A stored chunk that does not decode is recomputed.
+    const bool replayed =
+        ckpt.Restore(name, key, [&](const ArtifactReader& doc) -> Status {
+          GREATER_ASSIGN_OR_RETURN(std::string_view csv_bytes,
+                                   doc.Chunk("csv"));
+          GREATER_ASSIGN_OR_RETURN(std::string_view report_bytes,
+                                   doc.Chunk("report"));
+          ByteReader r(report_bytes);
+          SampleReport stored;
+          GREATER_RETURN_NOT_OK(ReadReport(&r, &stored));
+          GREATER_RETURN_NOT_OK(r.ExpectEnd());
+          chunk_report = stored;
+          text.assign(csv_bytes);
+          return Status::OK();
+        });
+    if (replayed) {
+      hits_counter.Increment();
+    } else {
       GREATER_FAULT_POINT("stream.emit_chunk");
       rows.clear();
       engine.RunChunk(begin, end, /*conditions=*/nullptr, base, cache.get(),
@@ -205,15 +204,13 @@ Result<SampleReport> SampleRowsToCsvStreaming(
       }
       GREATER_ASSIGN_OR_RETURN(Table chunk_table, builder.Build());
       AppendCsvRows(chunk_table, options.delimiter, &text);
-      if (ckpt.enabled()) {
-        ArtifactWriter doc(ChunkCheckpointer::kKind,
-                           ChunkCheckpointer::kVersion);
-        doc.AddChunk("csv", text);
+      ckpt.Store(name, key, [&](ArtifactWriter* doc) {
+        doc->AddChunk("csv", text);
         ByteWriter w;
         AppendReport(chunk_report, &w);
-        doc.AddChunk("report", std::move(w).Take());
-        ckpt.Store(chunk_index, key, doc);
-      }
+        doc->AddChunk("report", std::move(w).Take());
+        return Status::OK();
+      });
     }
 
     GREATER_RETURN_NOT_OK(WriteBlock(&out, text, output_path));

@@ -20,11 +20,11 @@ struct SampleEmitOptions {
   /// fails on the first exhausted row, lenient drops it and keeps going.
   SamplePolicy policy = SamplePolicy::kStrict;
   bool use_model_policy = true;  ///< when true, `policy` is ignored
-  /// Directory for per-chunk crash-resume checkpoints; empty disables.
-  /// A rerun after a kill -9 replays completed chunks from the store and
-  /// produces a byte-identical output file.
+  /// Directory for per-chunk crash-resume checkpoints (chunk-store label
+  /// `oocore.emit`); empty disables. A rerun after a kill -9 replays
+  /// completed chunks from the store and produces a byte-identical output
+  /// file.
   std::string checkpoint_dir;
-  std::string checkpoint_label = "oocore.emit";
 };
 
 /// Streams `n` sampled rows from a fitted synthesizer into a CSV file,
@@ -41,7 +41,8 @@ struct SampleEmitOptions {
 ///
 /// Crash resume: with a checkpoint directory, each completed chunk stores
 /// its rendered CSV text and report delta under a key chained from the
-/// model fingerprint and emission options. The output file is rewritten
+/// model fingerprint and emission options. Without one, the model is not
+/// serialized and nothing is hashed. The output file is rewritten
 /// from scratch on every run (a partial file from a killed run is simply
 /// overwritten), completed chunks replay from the store without touching
 /// the model, and the finished file is byte-identical to an uninterrupted

@@ -23,8 +23,9 @@ enum class StreamPolicy {
 /// bounded by `queue_capacity * chunk_rows` per queue — backpressure, not
 /// unbounded buffering, absorbs a slow consumer.
 struct StreamOptions {
-  /// Master switch: when false, pipeline paths use the in-memory
-  /// implementations unchanged.
+  /// Selects MultiTablePipeline's flatten path: DirectFlattenStreaming
+  /// when true, the in-memory DirectFlatten when false. Chunked ingest
+  /// (RunFromCsv, FitStage) streams either way.
   bool enabled = false;
 
   /// Records per chunk. Smaller chunks mean finer-grained resume and a

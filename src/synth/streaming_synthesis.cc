@@ -33,7 +33,7 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
   // chain from the schema pass. A rerun killed after fit loads the model
   // and goes straight to emission.
   StageCheckpointer stage(options.checkpoint_dir);
-  {
+  if (stage.enabled()) {
     ByteWriter fp;
     GreatSynthesizer::AppendOptionsTo(options.synthesizer, &fp);
     fp.PutU64(options.fit_seed);
@@ -41,28 +41,23 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
     stage.Mix(fp.bytes());
   }
 
+  // DeserializeBinary commits only on success, so a model checkpoint that
+  // does not decode leaves `model` untouched for the recompute.
   GreatSynthesizer model(options.synthesizer);
-  bool loaded = false;
-  if (std::optional<ArtifactReader> doc = stage.TryLoad("oocore.model");
-      doc.has_value()) {
-    auto restore = [&]() -> Status {
-      GREATER_ASSIGN_OR_RETURN(std::string_view bytes, doc->Chunk("model"));
-      return model.DeserializeBinary(bytes);
-    };
-    if (restore().ok()) {
-      loaded = true;
-    } else {
-      model = GreatSynthesizer(options.synthesizer);
-    }
-  }
+  const bool loaded =
+      stage.Restore("oocore.model", [&](const ArtifactReader& doc) -> Status {
+        GREATER_ASSIGN_OR_RETURN(std::string_view bytes, doc.Chunk("model"));
+        return model.DeserializeBinary(bytes);
+      });
   if (!loaded) {
     Rng fit_rng(options.fit_seed);
     GREATER_RETURN_NOT_OK(
         model.FitStreaming(fit_stage.ChunkSource(), &fit_rng));
-    GREATER_ASSIGN_OR_RETURN(std::string bytes, model.SerializeBinary());
-    ArtifactWriter doc(StageCheckpointer::kKind, StageCheckpointer::kVersion);
-    doc.AddChunk("model", std::move(bytes));
-    stage.Store("oocore.model", doc);
+    stage.Store("oocore.model", [&](ArtifactWriter* doc) -> Status {
+      GREATER_ASSIGN_OR_RETURN(std::string bytes, model.SerializeBinary());
+      doc->AddChunk("model", std::move(bytes));
+      return Status::OK();
+    });
   }
   result.model_from_checkpoint = loaded;
   result.ingest = fit_stage.report();

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,6 +26,7 @@
 #include "semantic/mapping.h"
 #include "synth/great_synthesizer.h"
 #include "synth/relational_synthesizer.h"
+#include "synth/streaming_synthesis.h"
 #include "tabular/csv.h"
 #include "text/vocabulary.h"
 
@@ -781,6 +784,148 @@ TEST_F(PipelineResumeTest, DerecPathResumesTooAndStaysIdentical) {
   PipelineResult warm = RunOnce(options, 7);
   EXPECT_TRUE(cold.synthetic_flat == warm.synthetic_flat);
   EXPECT_TRUE(cold.synthetic_parent == warm.synthetic_parent);
+}
+
+
+TEST_F(PipelineResumeTest, UndecodableStageCheckpointRecomputes) {
+  // Stage files that parse as stage documents but do not decode must be
+  // recomputed, never fail the run: first with no chunks at all, then
+  // with only the stage's real RNG chunk (a restore that committed RNG
+  // state before failing would shift every later draw).
+  fs::path dir = ScratchDir("resume_undecodable");
+  PipelineOptions options = FastOptions(dir);
+  PipelineResult clean = RunOnce(options, 7);
+  std::vector<std::pair<fs::path, std::string>> originals;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    originals.emplace_back(entry.path(), Slurp(entry.path()));
+  }
+  ASSERT_EQ(originals.size(), 4u);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  for (bool keep_rng : {false, true}) {
+    SCOPED_TRACE(keep_rng ? "rng-only documents" : "empty documents");
+    for (const auto& [path, bytes] : originals) {
+      ArtifactWriter doc("greater.stage_checkpoint", 1);
+      if (keep_rng) {
+        Result<ArtifactReader> real =
+            ArtifactReader::Parse(bytes, "greater.stage_checkpoint", 1);
+        ASSERT_TRUE(real.ok()) << real.status();
+        doc.AddChunk("rng", std::string(real->Chunk("rng").ValueOrDie()));
+      }
+      Spit(path, doc.Finish());
+    }
+    const uint64_t hits = metrics.GetCounter("ckpt.stage_hits").Value();
+    const uint64_t misses = metrics.GetCounter("ckpt.stage_misses").Value();
+    const uint64_t corrupt = metrics.GetCounter("ckpt.stage_corrupt").Value();
+    MultiTablePipeline pipeline(options);
+    Rng rng(7);
+    Result<PipelineResult> rerun =
+        pipeline.Run(data_->ads, data_->feeds, "user_id", &rng);
+    ASSERT_TRUE(rerun.ok()) << rerun.status();
+    EXPECT_EQ(WriteCsvString(rerun->synthetic_flat),
+              WriteCsvString(clean.synthetic_flat));
+    EXPECT_EQ(WriteCsvString(rerun->synthetic_parent),
+              WriteCsvString(clean.synthetic_parent));
+    EXPECT_EQ(metrics.GetCounter("ckpt.stage_hits").Value() - hits, 0u);
+    EXPECT_EQ(metrics.GetCounter("ckpt.stage_misses").Value() - misses, 4u);
+    EXPECT_EQ(metrics.GetCounter("ckpt.stage_corrupt").Value() - corrupt,
+              4u);
+    // The recompute keyed every stage as the clean run did, so it
+    // rewrote the very same files.
+    for (const auto& [path, bytes] : originals) {
+      EXPECT_EQ(Slurp(path), bytes) << path;
+    }
+  }
+}
+
+// ---------- checkpoint directory compatibility ----------
+
+// The checkpoint files a run leaves behind, as (file name, FNV-1a of the
+// bytes) sorted by name. Names carry every key, so equal listings mean a
+// directory written by one build is a full hit for the other.
+using CheckpointListing = std::vector<std::pair<std::string, uint64_t>>;
+
+CheckpointListing ListCheckpoints(const fs::path& dir) {
+  CheckpointListing listing;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    listing.emplace_back(entry.path().filename().string(),
+                         Fnv1a(Slurp(entry.path())));
+  }
+  std::sort(listing.begin(), listing.end());
+  return listing;
+}
+
+void ExpectListing(const CheckpointListing& actual,
+                   const CheckpointListing& pinned) {
+  if (actual == pinned) return;
+  std::ostringstream dump;
+  for (const auto& [name, fnv] : actual) {
+    dump << "  {\"" << name << "\", 0x" << std::hex << fnv << "ull},\n";
+  }
+  ADD_FAILURE() << "checkpoint files differ from the pin; found:\n"
+                << dump.str();
+}
+
+TEST_F(PipelineResumeTest, RunFromCsvCheckpointFilesArePinned) {
+  fs::path dir = ScratchDir("compat_run_from_csv");
+  fs::path ads = dir / "ads.csv";
+  fs::path feeds = dir / "feeds.csv";
+  ASSERT_TRUE(WriteCsvFile(data_->ads, ads.string()).ok());
+  ASSERT_TRUE(WriteCsvFile(data_->feeds, feeds.string()).ok());
+  PipelineOptions options = FastOptions(dir / "ckpt");
+  options.stream.chunk_rows = 128;
+  MultiTablePipeline pipeline(options);
+  Rng rng(7);
+  Result<PipelineResult> result =
+      pipeline.RunFromCsv(ads.string(), feeds.string(), "user_id", &rng);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(Fnv1a(WriteCsvString(result->synthetic_flat)),
+            0x39a774fc3ffef6f1ull);
+  ExpectListing(
+      ListCheckpoints(dir / "ckpt"),
+      {
+          {"chunk.ingest.child1.0.7c0958eb934a50d7.ckpt", 0xa46ad62397cb83dull},
+          {"chunk.ingest.child1.1.48dccefb12e9d590.ckpt", 0xa8a103bd03aec90cull},
+          {"chunk.ingest.child2.0.6de4010c269875e5.ckpt", 0x1c6ba537ab539c05ull},
+          {"chunk.ingest.child2.1.f5f5d0cb918e7318.ckpt", 0xbfe7f8cfb9952feeull},
+          {"stage.fit.58739e813c37bc3d.ckpt", 0xb1370ca461154f54ull},
+          {"stage.fuse.5a6f8e0bf6863c4f.ckpt", 0xcc3ab5699132ea40ull},
+          {"stage.prepare.6c3190f63f3cf57f.ckpt", 0xc8452da9d828da85ull},
+          {"stage.sample.92e60cf33c289131.ckpt", 0x63e0ab65b0f976b0ull},
+      });
+}
+
+TEST_F(DurabilityTest, RunFromCsvStreamingCheckpointFilesArePinned) {
+  fs::path dir = ScratchDir("compat_streaming");
+  fs::path csv = dir / "input.csv";
+  std::string text = "a,b,c\n";
+  for (size_t i = 0; i < 60; ++i) {
+    text += std::to_string(i % 13) + "," + std::to_string((i * 2) % 9) +
+            ",v" + std::to_string(i % 7) + "\n";
+  }
+  Spit(csv, text);
+  StreamingSynthesisOptions options;
+  options.stream.chunk_rows = 16;
+  options.emit_chunk_rows = 9;
+  options.checkpoint_dir = (dir / "ckpt").string();
+  fs::path out = dir / "out.csv";
+  Result<StreamingSynthesisResult> run =
+      RunFromCsvStreaming(csv.string(), out.string(), 30, options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(Fnv1a(Slurp(out)), 0xf216a204ffe75450ull);
+  ExpectListing(
+      ListCheckpoints(dir / "ckpt"),
+      {
+          {"chunk.oocore.emit.0.7199f8643d65eca8.ckpt", 0xd4987ade2550085full},
+          {"chunk.oocore.emit.1.4e651eeae68fcb0a.ckpt", 0x4e2e8314222106d7ull},
+          {"chunk.oocore.emit.2.96362f441e0a54b9.ckpt", 0x6188545623d84e02ull},
+          {"chunk.oocore.emit.3.3de7da899c8ec707.ckpt", 0x3bab20a4d727630bull},
+          {"chunk.oocore.fit.0.db7b67dcfff06b72.ckpt", 0x9d082a04610ee496ull},
+          {"chunk.oocore.fit.1.decaacb6afc79737.ckpt", 0x24df464885f8b19full},
+          {"chunk.oocore.fit.2.1091206e63af6423.ckpt", 0x12143616a336fb73ull},
+          {"chunk.oocore.fit.3.bc0c5e4e4ec9e6e5.ckpt", 0xb5a29f98be94606cull},
+          {"stage.oocore.model.24e90cd3645cdeaf.ckpt", 0x70e5df14de96c3f8ull},
+      });
 }
 
 }  // namespace

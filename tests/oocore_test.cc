@@ -305,6 +305,59 @@ TEST_F(OocoreTest, EmissionResumesFromChunkStoreAfterInjectedCrash) {
   EXPECT_EQ(Slurp(out), Slurp(ref));
 }
 
+TEST_F(OocoreTest, UndecodableEmissionChunkIsACorruptMiss) {
+  // Emission chunk files that parse as chunk documents but hold no csv or
+  // report payload must be recomputed, and counted as corrupt misses,
+  // never as hits.
+  Table train = TrainTable(60);
+  GreatSynthesizer model{GreatSynthesizer::Options()};
+  Rng fit_rng(17);
+  ASSERT_TRUE(model.Fit(train, &fit_rng).ok());
+
+  fs::path dir = ScratchDir("oocore_emit_undecodable");
+  fs::path ref = dir / "ref.csv";
+  fs::path out = dir / "out.csv";
+  SampleEmitOptions emit;
+  emit.chunk_rows = 8;
+  ASSERT_TRUE(SampleRowsToCsvStreaming(model, 30, 7, ref.string(), emit).ok());
+  emit.checkpoint_dir = (dir / "ckpt").string();
+  ASSERT_TRUE(SampleRowsToCsvStreaming(model, 30, 7, out.string(), emit).ok());
+  const std::string empty_doc =
+      ArtifactWriter("greater.chunk_checkpoint", 1).Finish();
+  size_t overwritten = 0;
+  for (const auto& entry : fs::directory_iterator(dir / "ckpt")) {
+    Spit(entry.path(), empty_doc);
+    ++overwritten;
+  }
+  ASSERT_EQ(overwritten, 4u);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const uint64_t hits = metrics.GetCounter("stream.chunk_hits").Value();
+  const uint64_t misses = metrics.GetCounter("stream.chunk_misses").Value();
+  const uint64_t corrupt = metrics.GetCounter("stream.chunk_corrupt").Value();
+  const uint64_t replayed =
+      metrics.GetCounter("stream.emit.checkpoint_hits").Value();
+  const uint64_t chunks = metrics.GetCounter("stream.emit.chunks").Value();
+  Result<SampleReport> rerun =
+      SampleRowsToCsvStreaming(model, 30, 7, out.string(), emit);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_TRUE(rerun->Reconciles());
+  EXPECT_EQ(Slurp(out), Slurp(ref));
+  const uint64_t hit_delta =
+      metrics.GetCounter("stream.chunk_hits").Value() - hits;
+  const uint64_t miss_delta =
+      metrics.GetCounter("stream.chunk_misses").Value() - misses;
+  const uint64_t corrupt_delta =
+      metrics.GetCounter("stream.chunk_corrupt").Value() - corrupt;
+  EXPECT_EQ(hit_delta + miss_delta,
+            metrics.GetCounter("stream.emit.chunks").Value() - chunks);
+  EXPECT_LE(corrupt_delta, miss_delta);
+  EXPECT_EQ(hit_delta,
+            metrics.GetCounter("stream.emit.checkpoint_hits").Value() -
+                replayed);
+  EXPECT_EQ(corrupt_delta, 4u);
+}
+
 // ---------- end-to-end driver: kill -9 anywhere, resume byte-identical --
 
 TEST_F(OocoreTest, RunFromCsvStreamingSigkillAnywhereThenResume) {

@@ -23,13 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
 #include "crosstable/flatten.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
 #include "obs/metrics.h"
 #include "stream/bounded_queue.h"
-#include "stream/chunk_checkpoint.h"
 #include "stream/csv_ingest.h"
 #include "stream/quarantine.h"
 #include "stream/stream_runtime.h"
@@ -310,7 +311,7 @@ TEST_F(StreamingTest, LenientPolicyQuarantinesAndReconciles) {
   QuarantineWriter quarantine(qpath.string());
   auto streamed =
       ReadCsvStringStreaming(text, CsvReadOptions(), opt,
-                             StreamPolicy::kLenient, &report, nullptr,
+                             StreamPolicy::kLenient, &report, {},
                              &quarantine, "unit-input");
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(streamed->num_rows(), 21u);
@@ -374,18 +375,16 @@ TEST_F(StreamingTest, ChunkResumeAfterMidRunFaultIsByteIdentical) {
       spec.message = "injected parse crash";
       spec.skip_hits = fail_at;
       ScopedFault fault("stream.chunk_parse", spec);
-      ChunkCheckpointer ckpt(ckdir.string(), "unit");
       auto crashed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                             StreamPolicy::kStrict, nullptr,
-                                            &ckpt);
+                                            {ckdir.string(), "unit"});
       ASSERT_FALSE(crashed.ok());
       EXPECT_EQ(crashed.status().code(), StatusCode::kFailedPrecondition);
     }
-    ChunkCheckpointer ckpt(ckdir.string(), "unit");
     StreamIngestReport report;
     auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                           StreamPolicy::kStrict, &report,
-                                          &ckpt);
+                                          {ckdir.string(), "unit"});
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_TRUE(*resumed == *reference) << "fail_at=" << fail_at;
     EXPECT_EQ(WriteCsvString(*resumed), WriteCsvString(*reference));
@@ -402,12 +401,10 @@ TEST_F(StreamingTest, CorruptChunkCheckpointDegradesToRecompute) {
   auto reference = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                           StreamPolicy::kStrict);
   ASSERT_TRUE(reference.ok());
-  {
-    ChunkCheckpointer ckpt(dir.string(), "unit");
-    ASSERT_TRUE(ReadCsvStringStreaming(text, CsvReadOptions(), opt,
-                                       StreamPolicy::kStrict, nullptr, &ckpt)
-                    .ok());
-  }
+  ASSERT_TRUE(ReadCsvStringStreaming(text, CsvReadOptions(), opt,
+                                     StreamPolicy::kStrict, nullptr,
+                                     {dir.string(), "unit"})
+                  .ok());
   // Corrupt every stored chunk in place.
   size_t corrupted = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -415,11 +412,10 @@ TEST_F(StreamingTest, CorruptChunkCheckpointDegradesToRecompute) {
     ++corrupted;
   }
   ASSERT_GE(corrupted, 4u);
-  ChunkCheckpointer ckpt(dir.string(), "unit");
   StreamIngestReport report;
   auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                         StreamPolicy::kStrict, &report,
-                                        &ckpt);
+                                        {dir.string(), "unit"});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(*resumed == *reference);
   EXPECT_EQ(report.chunk_checkpoint_hits, 0u);
@@ -435,11 +431,10 @@ TEST_F(StreamingTest, ChunkStoreFailuresAreSwallowedAndCounted) {
   spec.code = StatusCode::kResourceExhausted;
   spec.message = "disk full";
   ScopedFault fault("ckpt.write", spec);
-  ChunkCheckpointer ckpt(dir.string(), "unit");
   auto streamed = ReadCsvStringStreaming(NumericCsv(9), CsvReadOptions(),
                                          SmallStream(),
                                          StreamPolicy::kStrict, nullptr,
-                                         &ckpt);
+                                         {dir.string(), "unit"});
   // Best-effort persistence: a failing store never fails the ingest.
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_GE(MetricsRegistry::Global()
@@ -448,21 +443,93 @@ TEST_F(StreamingTest, ChunkStoreFailuresAreSwallowedAndCounted) {
             1u);
 }
 
-TEST_F(StreamingTest, RngStateRoundTripsThroughChunkPayload) {
-  Rng rng(1234);
-  for (int i = 0; i < 17; ++i) rng.UniformInt(0, 1000000);
-  ByteWriter writer;
-  AppendRngState(rng, &writer);
-  Rng restored(1);
-  ByteReader reader(writer.bytes());
-  ASSERT_TRUE(ReadRngState(&reader, &restored).ok());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(rng.UniformInt(0, 1000000), restored.UniformInt(0, 1000000));
+TEST_F(StreamingTest, UndecodableChunkCheckpointIsACorruptMiss) {
+  // Chunk files that parse as chunk documents but hold no chunk payload
+  // must be recomputed, and counted as corrupt misses, never as hits.
+  fs::path dir = ScratchDir("stream_undecodable");
+  const std::string text = NumericCsv(40);
+  StreamOptions opt = SmallStream();
+  opt.chunk_rows = 10;
+  auto reference = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
+                                          StreamPolicy::kStrict);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(ReadCsvStringStreaming(text, CsvReadOptions(), opt,
+                                     StreamPolicy::kStrict, nullptr,
+                                     {dir.string(), "unit"})
+                  .ok());
+  const std::string empty_doc =
+      ArtifactWriter("greater.chunk_checkpoint", 1).Finish();
+  size_t overwritten = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    Spit(entry.path(), empty_doc);
+    ++overwritten;
   }
-  // Malformed bytes fail typed instead of silently desyncing the stream.
-  Rng other(2);
-  ByteReader bad(std::string_view("\x03zzz", 4));
-  EXPECT_EQ(ReadRngState(&bad, &other).code(), StatusCode::kDataLoss);
+  ASSERT_EQ(overwritten, 4u);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const uint64_t hits = metrics.GetCounter("stream.chunk_hits").Value();
+  const uint64_t misses = metrics.GetCounter("stream.chunk_misses").Value();
+  const uint64_t corrupt = metrics.GetCounter("stream.chunk_corrupt").Value();
+  StreamIngestReport report;
+  auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
+                                        StreamPolicy::kStrict, &report,
+                                        {dir.string(), "unit"});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(*resumed == *reference);
+  const uint64_t hit_delta =
+      metrics.GetCounter("stream.chunk_hits").Value() - hits;
+  const uint64_t miss_delta =
+      metrics.GetCounter("stream.chunk_misses").Value() - misses;
+  const uint64_t corrupt_delta =
+      metrics.GetCounter("stream.chunk_corrupt").Value() - corrupt;
+  EXPECT_EQ(hit_delta + miss_delta, report.chunks);
+  EXPECT_LE(corrupt_delta, miss_delta);
+  EXPECT_EQ(hit_delta, report.chunk_checkpoint_hits);
+  EXPECT_EQ(corrupt_delta, 4u);
+}
+
+TEST_F(StreamingTest, CheckpointStoreIsSafeUnderConcurrentStoreAndRestore) {
+  // Parse workers store and probe one store concurrently, starting from a
+  // directory that does not exist yet: the mkdir and the counters are
+  // shared, every document must land whole and restore.
+  fs::path dir = ScratchDir("store_concurrent") / "nested";
+  CheckpointStore store(dir.string(), "greater.test_checkpoint", 1,
+                        "test.store");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 16;
+  std::atomic<int> restored{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t key = static_cast<uint64_t>(t * kPerThread + i);
+        const std::string name = "chunk.t" + std::to_string(t);
+        store.Store(name, key, [&](ArtifactWriter* doc) {
+          doc->AddChunk("value", std::to_string(key));
+          return Status::OK();
+        });
+        const bool hit =
+            store.Restore(name, key, [&](const ArtifactReader& doc) -> Status {
+              GREATER_ASSIGN_OR_RETURN(std::string_view value,
+                                       doc.Chunk("value"));
+              if (value != std::to_string(key)) {
+                return Status::DataLoss("restored the wrong document");
+              }
+              return Status::OK();
+            });
+        if (hit) restored.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  EXPECT_EQ(restored.load(), kThreads * kPerThread);
+  EXPECT_EQ(metrics.GetCounter("test.store_stores").Value(),
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(metrics.GetCounter("test.store_hits").Value(),
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(metrics.GetCounter("test.store_misses").Value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("test.store_store_failures").Value(), 0u);
 }
 
 TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
@@ -490,10 +557,9 @@ TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
     pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      ChunkCheckpointer ckpt(ckdir.string(), "kill");
       auto result = ReadCsvFileStreaming(csv.string(), CsvReadOptions(), opt,
                                          StreamPolicy::kStrict, nullptr,
-                                         &ckpt);
+                                         {ckdir.string(), "kill"});
       _exit(result.ok() ? 0 : 1);
     }
     ::usleep(500 * (attempt + 1));
@@ -502,10 +568,10 @@ TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
     ::waitpid(pid, &wait_status, 0);
   }
 
-  ChunkCheckpointer ckpt(ckdir.string(), "kill");
   StreamIngestReport report;
   auto resumed = ReadCsvFileStreaming(csv.string(), CsvReadOptions(), opt,
-                                      StreamPolicy::kStrict, &report, &ckpt);
+                                      StreamPolicy::kStrict, &report,
+                                      {ckdir.string(), "kill"});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(*resumed == *reference);
   EXPECT_EQ(WriteCsvString(*resumed), WriteCsvString(*reference));
