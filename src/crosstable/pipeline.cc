@@ -234,44 +234,6 @@ Status ReadStringList(ByteReader* r, std::vector<std::string>* out) {
   return Status::OK();
 }
 
-void AppendReport(const SampleReport& report, ByteWriter* w) {
-  w->PutU64(report.rows_requested);
-  w->PutU64(report.rows_emitted);
-  w->PutU64(report.rows_exhausted);
-  w->PutU64(report.attempts);
-  w->PutU64(report.rejected_invalid_value);
-  w->PutU64(report.rejected_decode_failure);
-  w->PutU64(report.rejected_mid_row);
-  w->PutU64(report.injected_faults);
-  w->PutU64(report.fallback_grammar_uses);
-  w->PutU64(report.snapped_cells);
-}
-
-Status ReadReport(ByteReader* r, SampleReport* out) {
-  uint64_t v = 0;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rows_requested = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rows_emitted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rows_exhausted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->attempts = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rejected_invalid_value = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rejected_decode_failure = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rejected_mid_row = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->injected_faults = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->fallback_grammar_uses = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->snapped_cells = v;
-  return Status::OK();
-}
-
 Status ReadRngChunk(const ArtifactReader& doc, Rng* rng) {
   GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("rng"));
   if (!rng->LoadState(std::string(payload))) {
@@ -442,7 +404,7 @@ void BuildSampleStageDoc(const std::vector<const Table*>& tables,
     doc->AddChunk("table" + std::to_string(i), std::move(w).Take());
   }
   ByteWriter w;
-  AppendReport(report, &w);
+  AppendSampleReport(report, &w);
   doc->AddChunk("report", std::move(w).Take());
   doc->AddChunk("rng", rng.SaveState());
 }
@@ -462,7 +424,7 @@ Status RestoreSampleStage(const ArtifactReader& doc,
   {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("report"));
     ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadReport(&r, &stored));
+    GREATER_RETURN_NOT_OK(ReadSampleReport(&r, &stored));
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
   Rng restored_rng;

@@ -23,44 +23,6 @@ namespace {
 
 constexpr char kEmitLabel[] = "oocore.emit";
 
-void AppendReport(const SampleReport& report, ByteWriter* w) {
-  w->PutU64(report.rows_requested);
-  w->PutU64(report.rows_emitted);
-  w->PutU64(report.rows_exhausted);
-  w->PutU64(report.attempts);
-  w->PutU64(report.rejected_invalid_value);
-  w->PutU64(report.rejected_decode_failure);
-  w->PutU64(report.rejected_mid_row);
-  w->PutU64(report.injected_faults);
-  w->PutU64(report.fallback_grammar_uses);
-  w->PutU64(report.snapped_cells);
-}
-
-Status ReadReport(ByteReader* r, SampleReport* report) {
-  uint64_t v = 0;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rows_requested = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rows_emitted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rows_exhausted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->attempts = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rejected_invalid_value = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rejected_decode_failure = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rejected_mid_row = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->injected_faults = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->fallback_grammar_uses = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->snapped_cells = v;
-  return Status::OK();
-}
-
 Status WriteBlock(std::ofstream* out, const std::string& bytes,
                   const std::string& path) {
   out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -174,7 +136,7 @@ Result<SampleReport> SampleRowsToCsvStreaming(
                                    doc.Chunk("report"));
           ByteReader r(report_bytes);
           SampleReport stored;
-          GREATER_RETURN_NOT_OK(ReadReport(&r, &stored));
+          GREATER_RETURN_NOT_OK(ReadSampleReport(&r, &stored));
           GREATER_RETURN_NOT_OK(r.ExpectEnd());
           chunk_report = stored;
           text.assign(csv_bytes);
@@ -207,7 +169,7 @@ Result<SampleReport> SampleRowsToCsvStreaming(
       ckpt.Store(name, key, [&](ArtifactWriter* doc) {
         doc->AddChunk("csv", text);
         ByteWriter w;
-        AppendReport(chunk_report, &w);
+        AppendSampleReport(chunk_report, &w);
         doc->AddChunk("report", std::move(w).Take());
         return Status::OK();
       });

@@ -44,10 +44,28 @@ const BatchCounters& GetBatchCounters() {
   return counters;
 }
 
+// The name memo's index is open-addressed: power-of-two size (`wrap` is
+// size - 1), linear probing, -1 marks an empty slot. A mask's probe run
+// starts at its home slot.
+size_t NameHomeSlot(uint64_t mask, size_t wrap) {
+  uint64_t h = mask;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return static_cast<size_t>(h) & wrap;
+}
+
+size_t FreeNameSlot(const std::vector<int32_t>& index, uint64_t mask) {
+  const size_t wrap = index.size() - 1;
+  size_t slot = NameHomeSlot(mask, wrap);
+  while (index[slot] >= 0) slot = (slot + 1) & wrap;
+  return slot;
+}
+
 }  // namespace
 
 BatchDecodeEngine::BatchDecodeEngine(const GreatSynthesizer& synth)
-    : synth_(synth) {}
+    : synth_(synth), name_index_(16, -1) {}
 
 void BatchDecodeEngine::PrepareLanes() {
   num_lanes_ = lane_specs_.size();
@@ -80,6 +98,12 @@ void BatchDecodeEngine::PrepareLanes() {
   row_scratch_.resize(lanes);
   prefix_buf_.resize(lanes);
   if (num_columns_ > 64) lane_names_.resize(lanes);
+  // Clear only the index slots the previous call filled: a small call
+  // after a large one pays for its predecessor's entries, not for the
+  // capacity the large one grew.
+  for (size_t i = 0; i < name_memo_used_; ++i) {
+    name_index_[name_memo_[i].slot] = -1;
+  }
   name_memo_used_ = 0;
   ctx_limit_ = synth_.lm_->context_dependence();
   allowed_.assign(lanes, nullptr);
@@ -388,29 +412,9 @@ void BatchDecodeEngine::PrepareDraw(size_t lane) {
       for (size_t c = 0; c < num_columns_; ++c) {
         mask |= static_cast<uint64_t>(emitted[c]) << c;
       }
-      NameMemoEntry* entry = nullptr;
-      for (size_t i = 0; i < name_memo_used_; ++i) {
-        if (name_memo_[i].mask == mask) {
-          entry = &name_memo_[i];
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        if (name_memo_used_ == name_memo_.size()) name_memo_.emplace_back();
-        entry = &name_memo_[name_memo_used_++];
-        entry->mask = mask;
-        entry->names.clear();
-        const auto& columns = encoder.columns();
-        for (size_t c = 0; c < num_columns_; ++c) {
-          if (!((mask >> c) & 1)) {
-            entry->names.push_back(columns[c].name_token);
-          }
-        }
-        entry->id = cache_ != nullptr ? cache_->InternTransient(entry->names)
-                                      : kNoAllowList;
-      }
-      allowed_[lane] = &entry->names;
-      allow_id_[lane] = entry->id;
+      const NameMemoEntry& entry = NameEntry(mask);
+      allowed_[lane] = &entry.names;
+      allow_id_[lane] = entry.id;
     } else {
       // Wide-schema fallback (memo masks cap at 64 columns): lane-local
       // remaining-name list, interned per draw.
@@ -479,6 +483,43 @@ void BatchDecodeEngine::PrepareDraw(size_t lane) {
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
   hash_[lane] = h;
+}
+
+const BatchDecodeEngine::NameMemoEntry& BatchDecodeEngine::NameEntry(
+    uint64_t mask) {
+  const size_t wrap = name_index_.size() - 1;
+  for (size_t slot = NameHomeSlot(mask, wrap); name_index_[slot] >= 0;
+       slot = (slot + 1) & wrap) {
+    const NameMemoEntry& entry =
+        name_memo_[static_cast<size_t>(name_index_[slot])];
+    if (entry.mask == mask) return entry;
+  }
+
+  // First use of this mask within the call. Keep 2x slack: double the
+  // index and re-probe this call's entries before adding one more.
+  if (2 * (name_memo_used_ + 1) > name_index_.size()) {
+    name_index_.assign(2 * name_index_.size(), -1);
+    for (size_t i = 0; i < name_memo_used_; ++i) {
+      NameMemoEntry& moved = name_memo_[i];
+      moved.slot =
+          static_cast<uint32_t>(FreeNameSlot(name_index_, moved.mask));
+      name_index_[moved.slot] = static_cast<int32_t>(i);
+    }
+  }
+  if (name_memo_used_ == name_memo_.size()) name_memo_.emplace_back();
+  NameMemoEntry& entry = name_memo_[name_memo_used_];
+  entry.mask = mask;
+  entry.slot = static_cast<uint32_t>(FreeNameSlot(name_index_, mask));
+  name_index_[entry.slot] = static_cast<int32_t>(name_memo_used_);
+  ++name_memo_used_;
+  entry.names.clear();
+  const auto& columns = synth_.encoder_->columns();
+  for (size_t c = 0; c < num_columns_; ++c) {
+    if (!((mask >> c) & 1)) entry.names.push_back(columns[c].name_token);
+  }
+  entry.id = cache_ != nullptr ? cache_->InternTransient(entry.names)
+                               : kNoAllowList;
+  return entry;
 }
 
 bool BatchDecodeEngine::SameKey(size_t a, size_t b) const {

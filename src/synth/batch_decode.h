@@ -110,10 +110,13 @@ class BatchDecodeEngine {
   /// bitmask. Lanes at the same decode frontier share one list object (and
   /// one interned id), which is what lets name-state draws group even with
   /// the cache off. Entries live in a deque so the `allowed_` pointers a
-  /// step hands out stay stable while the memo grows.
+  /// step hands out stay stable while the memo grows; name_index_ finds an
+  /// entry by mask in O(1), however many masks the call has memoized, and
+  /// `slot` records where, so a call's reset clears only its own slots.
   struct NameMemoEntry {
     uint64_t mask = 0;
     AllowListId id = kNoAllowList;
+    uint32_t slot = 0;  ///< this entry's position in name_index_
     std::vector<TokenId> names;
   };
 
@@ -145,6 +148,9 @@ class BatchDecodeEngine {
   /// the lane must be drawn per-lane (unpackable window, or an unkeyable
   /// list under an active cache).
   void PrepareDraw(size_t lane);
+  /// The memo entry for emitted-column `mask`, created (and interned in
+  /// cache_) on the mask's first use within the call.
+  const NameMemoEntry& NameEntry(uint64_t mask);
   /// Exact draw-key equality for two prepared lanes: same allow-list
   /// identity and the same context window, read straight from the arena.
   /// Group formation probes gtable_ by hash_ and verifies with this, so a
@@ -209,8 +215,13 @@ class BatchDecodeEngine {
 
   // --- per-step draw scratch ---
   std::vector<std::vector<TokenId>> lane_names_;  ///< wide-schema fallback
-  std::deque<NameMemoEntry> name_memo_;  ///< per-chunk mask -> name list
+  std::deque<NameMemoEntry> name_memo_;  ///< per-call mask -> name list
   size_t name_memo_used_ = 0;
+  /// Open-addressed index over name_memo_[0, name_memo_used_): memo slot
+  /// per position, -1 when empty. Power-of-two capacity with 2x slack,
+  /// linear probing; it only grows (when a new mask is memoized) and keeps
+  /// its capacity across calls, so steady-state steps allocate nothing.
+  std::vector<int32_t> name_index_;
   size_t ctx_limit_ = 0;  ///< lm context_dependence, hoisted per chunk
   std::vector<const std::vector<TokenId>*> allowed_;
   std::vector<AllowListId> allow_id_;

@@ -1,7 +1,9 @@
 #include "synth/sample_report.h"
 
+#include <cstdint>
 #include <cstdio>
 
+#include "common/artifact_io.h"
 #include "obs/metrics.h"
 
 namespace greater {
@@ -42,6 +44,20 @@ const SynthCounters& GetSynthCounters() {
   static const SynthCounters counters;
   return counters;
 }
+
+// The checkpoint byte order of the report's counts.
+constexpr size_t SampleReport::*kCodecFields[] = {
+    &SampleReport::rows_requested,
+    &SampleReport::rows_emitted,
+    &SampleReport::rows_exhausted,
+    &SampleReport::attempts,
+    &SampleReport::rejected_invalid_value,
+    &SampleReport::rejected_decode_failure,
+    &SampleReport::rejected_mid_row,
+    &SampleReport::injected_faults,
+    &SampleReport::fallback_grammar_uses,
+    &SampleReport::snapped_cells,
+};
 
 }  // namespace
 
@@ -116,6 +132,21 @@ std::string SampleReport::ToString() const {
                 rejected_decode_failure, rejected_mid_row, injected_faults,
                 fallback_grammar_uses, snapped_cells, RejectionRate());
   return std::string(buffer);
+}
+
+void AppendSampleReport(const SampleReport& report, ByteWriter* w) {
+  for (size_t SampleReport::*field : kCodecFields) w->PutU64(report.*field);
+}
+
+Status ReadSampleReport(ByteReader* r, SampleReport* out) {
+  SampleReport report;
+  for (size_t SampleReport::*field : kCodecFields) {
+    uint64_t v = 0;
+    GREATER_RETURN_NOT_OK(r->GetU64(&v));
+    report.*field = v;
+  }
+  *out = report;
+  return Status::OK();
 }
 
 }  // namespace greater

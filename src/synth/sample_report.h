@@ -4,7 +4,12 @@
 #include <cstddef>
 #include <string>
 
+#include "common/status.h"
+
 namespace greater {
+
+class ByteReader;
+class ByteWriter;
 
 /// What a synthesizer does when a row exhausts its retry budget (or an
 /// injected fault makes it unrecoverable).
@@ -82,6 +87,14 @@ struct SampleReport {
   /// One-line human-readable summary.
   std::string ToString() const;
 };
+
+/// The report's byte form inside stage and chunk checkpoints: its ten
+/// counts as u64s, in declaration order. Checkpoint files written by
+/// earlier builds depend on this layout, so it never changes.
+void AppendSampleReport(const SampleReport& report, ByteWriter* w);
+/// Reads what AppendSampleReport wrote; kDataLoss on truncation, leaving
+/// `out` untouched.
+Status ReadSampleReport(ByteReader* r, SampleReport* out);
 
 }  // namespace greater
 

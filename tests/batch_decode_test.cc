@@ -14,6 +14,8 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "datagen/digix.h"
+#include "lm/decode_cache.h"
 #include "obs/metrics.h"
 #include "reference_decoder.h"
 #include "stream/sample_emit.h"
@@ -274,6 +276,132 @@ TEST(BatchDecodeTest, EngineEqualsReferenceWideSchema) {
   ExpectEngineMatchesReference(options, train, nullptr, 8, {1, 8}, "wide");
   ExpectEngineMatchesReference(options, train, &conditions, 0, {1, 8},
                                "wide conditional");
+}
+
+// ---------- Wide decode frontier ----------
+
+// The 14-column DIGIX ads table. Columns are named in random order, so a
+// lane may name any column it has not yet emitted: one 1,024-lane chunk
+// memoizes thousands of distinct emitted-column masks, and the name memo's
+// index grows several times within the chunk.
+Table DigixAds() {
+  DigixOptions options;
+  options.num_users = 100;
+  options.include_identifier_columns = false;
+  Rng rng(2026);
+  Result<DigixDataset> data = DigixGenerator(options).Generate(&rng);
+  EXPECT_TRUE(data.ok()) << data.status();
+  return std::move(data).ValueOrDie().ads;
+}
+
+TEST(BatchDecodeTest, EngineEqualsReferenceWideFrontier) {
+  Table train = DigixAds();
+  ASSERT_EQ(train.num_columns(), 14u);
+  ASSERT_GE(train.num_rows(), 200u);
+  ExpectEngineMatchesReference(GreatSynthesizer::Options(), train, nullptr,
+                               1024, {1, 1024}, "digix");
+}
+
+// Lockstep grouping on the wide frontier, pinned at the values the
+// scan-based name memo produced. Equal group_evals means lanes at the same
+// frontier still share one remaining-name list and one interned id.
+TEST(BatchDecodeTest, WideFrontierGroupingIsPinned) {
+  Table train = DigixAds();
+  struct Expected {
+    bool cache;
+    uint64_t steps, lane_steps, group_evals;
+  };
+  for (const Expected& expected :
+       {Expected{true, 87, 44347, 18114},
+        Expected{false, 87, 44347, 18114}}) {
+    SCOPED_TRACE(expected.cache ? "cache=on" : "cache=off");
+    GreatSynthesizer::Options options;
+    options.decode_cache.enabled = expected.cache;
+    GreatSynthesizer synth = FitWith(options, train, 7);
+    BatchDecodeEngine engine(synth);
+    DecodeCache cache(options.decode_cache);
+    DecodeWorkspace decode;
+    SampleReport report;
+    std::vector<Result<Row>> out;
+    engine.RunChunk(0, 1024, nullptr, 2026,
+                    expected.cache ? &cache : nullptr, &decode, &report, 0,
+                    &out);
+    ASSERT_EQ(out.size(), 1024u);
+    EXPECT_TRUE(report.Reconciles());
+    const BatchDecodeEngine::LocalStats& stats = engine.stats();
+    EXPECT_EQ(stats.steps, expected.steps);
+    EXPECT_EQ(stats.lane_steps, expected.lane_steps);
+    EXPECT_EQ(stats.group_evals, expected.group_evals);
+  }
+}
+
+// Checks one RunChunk call on `engine` against the reference decoder row
+// by row: lane i decodes from Rng(DeriveStreamSeed(base, begin + i)) with
+// conditions row begin + i forced, so each lane equals a reference
+// SampleRow on that stream — the same row or the same error, and the same
+// accounting.
+void ExpectChunkMatchesReference(BatchDecodeEngine* engine,
+                                 const GreatSynthesizer& synth, size_t begin,
+                                 size_t end, const Table* conditions,
+                                 uint64_t base, DecodeCache* cache,
+                                 const std::string& tag) {
+  SCOPED_TRACE(tag);
+  DecodeWorkspace decode;
+  SampleReport engine_report;
+  std::vector<Result<Row>> out;
+  engine->RunChunk(begin, end, conditions, base, cache, &decode,
+                   &engine_report, 0, &out);
+  ASSERT_EQ(out.size(), end - begin);
+
+  ReferenceDecoder reference(synth);
+  SampleReport reference_report;
+  std::map<std::string, Value> forced;
+  for (size_t row = begin; row < end; ++row) {
+    if (conditions != nullptr) {
+      forced.clear();
+      for (size_t c = 0; c < conditions->num_columns(); ++c) {
+        forced[conditions->schema().field(c).name] = conditions->at(row, c);
+      }
+    }
+    Rng rng(Rng::DeriveStreamSeed(base, row));
+    Result<Row> expected = reference.SampleRow(
+        &rng, conditions != nullptr ? &forced : nullptr, &reference_report);
+    const Result<Row>& actual = out[row - begin];
+    ASSERT_EQ(expected.ok(), actual.ok()) << "row " << row;
+    if (expected.ok()) {
+      EXPECT_EQ(*expected, *actual) << "row " << row;
+    } else {
+      EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+          << "row " << row;
+    }
+  }
+  EXPECT_EQ(reference_report.ToString(), engine_report.ToString());
+}
+
+// The name memo's index keeps its capacity across RunLanes calls and
+// resets only the slots the previous call used. A slot left over from an
+// earlier, larger call must never hand a later call a list or an interned
+// id from it — least of all one interned in a different DecodeCache.
+TEST(BatchDecodeTest, SmallCallAfterLargeOneEqualsReference) {
+  Table train = DigixAds();
+  GreatSynthesizer::Options options;
+  GreatSynthesizer synth = FitWith(options, train, 7);
+  BatchDecodeEngine engine(synth);
+  DecodeCache first(options.decode_cache);
+  DecodeCache second(options.decode_cache);
+
+  const size_t column = 3;
+  Table conditions(Schema({train.schema().field(column)}));
+  ASSERT_TRUE(conditions.AppendRow({train.at(0, column)}).ok());
+
+  ExpectChunkMatchesReference(&engine, synth, 0, 1024, nullptr, 77, &first,
+                              "1024 lanes, first cache");
+  ExpectChunkMatchesReference(&engine, synth, 0, 1, &conditions, 78, &first,
+                              "1 conditional lane, first cache");
+  ExpectChunkMatchesReference(&engine, synth, 0, 64, nullptr, 79, &second,
+                              "64 lanes, second cache");
+  ExpectChunkMatchesReference(&engine, synth, 0, 64, nullptr, 80, nullptr,
+                              "64 lanes, cache off");
 }
 
 TEST(BatchDecodeTest, SampleRowIsAChunkOfOne) {
