@@ -48,6 +48,19 @@ const CacheCounters& GetCacheCounters() {
   return counters;
 }
 
+// The cumulative table replays Rng::Categorical's left-to-right running
+// sum bit for bit.
+void FillCdf(const std::vector<double>& weights, std::vector<double>* cdf,
+             double* total) {
+  cdf->clear();
+  double cum = 0.0;
+  for (double w : weights) {
+    cum += w;
+    cdf->push_back(cum);
+  }
+  *total = cum;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -155,8 +168,50 @@ size_t DecodeCache::EntryBytes(const Entry& entry) const {
   return sizeof(Entry) + entry.cdf.capacity() * sizeof(double);
 }
 
-DecodeCache::Entry& DecodeCache::Insert(const Key& key,
-                                        const std::vector<double>& weights) {
+void DecodeCache::NoteLookup(bool hit) {
+  window_hits_ += hit ? 1 : 0;
+  ++window_lookups_;
+  // The first window fills a cold cache unjudged. After it, insertion
+  // stops as soon as a window can no longer reach half hits, and a
+  // closing window that did reach them turns it back on. Only a miss can
+  // stop it, so no caller holds a slot when DropUnreferenced runs.
+  if (warm_ && admitting_ &&
+      2 * (window_lookups_ - window_hits_) > kAdmitWindow) {
+    admitting_ = false;
+    DropUnreferenced();
+  }
+  if (window_lookups_ < kAdmitWindow) return;
+  admitting_ = !warm_ || 2 * window_hits_ >= kAdmitWindow;
+  warm_ = true;
+  window_lookups_ = 0;
+  window_hits_ = 0;
+}
+
+void DecodeCache::DropUnreferenced() {
+  size_t kept = 0;
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    Entry& entry = slots_[slot];
+    if (!entry.referenced) {
+      const size_t freed = EntryBytes(entry);
+      bytes_ -= freed;
+      GetCacheCounters().bytes->Add(-static_cast<double>(freed));
+      index_.erase(entry.key);
+      ++stats_.evictions;
+      GetCacheCounters().evictions->Increment();
+      continue;
+    }
+    if (kept != slot) {
+      slots_[kept] = std::move(entry);
+      index_[slots_[kept].key] = static_cast<uint32_t>(kept);
+    }
+    ++kept;
+  }
+  slots_.resize(kept);
+  clock_hand_ = 0;
+}
+
+uint32_t DecodeCache::Insert(const Key& key,
+                             const std::vector<double>& weights) {
   uint32_t slot;
   if (slots_.size() < options_.capacity) {
     slot = static_cast<uint32_t>(slots_.size());
@@ -186,21 +241,19 @@ DecodeCache::Entry& DecodeCache::Insert(const Key& key,
   Entry& entry = slots_[slot];
   entry.key = key;
   entry.referenced = 0;
-  // The cumulative table replays Rng::Categorical's left-to-right running
-  // sum bit for bit.
-  entry.cdf.clear();
-  entry.cdf.reserve(weights.size());
-  double cum = 0.0;
-  for (double w : weights) {
-    cum += w;
-    entry.cdf.push_back(cum);
+  // A reused slot takes exactly the new list's size: keeping the largest
+  // table it ever held would let every slot creep to the widest list.
+  if (entry.cdf.capacity() != weights.size()) {
+    std::vector<double> exact;
+    exact.reserve(weights.size());
+    entry.cdf.swap(exact);
   }
-  entry.total = cum;
+  FillCdf(weights, &entry.cdf, &entry.total);
   size_t added = EntryBytes(entry);
   bytes_ += added;
   GetCacheCounters().bytes->Add(static_cast<double>(added));
   index_[key] = slot;
-  return entry;
+  return slot;
 }
 
 TokenId DecodeCache::Draw(const Entry& entry,
@@ -249,31 +302,37 @@ DecodeCache::ResolvedDist DecodeCache::ResolveRestricted(
   key.temp_bits = temp_bits;
 
   GetCacheCounters().sample_restricted->Increment();
+  dist.cacheable = true;
   auto it = index_.find(key);
   if (it != index_.end()) {
+    NoteLookup(true);
     Entry& entry = slots_[it->second];
     entry.referenced = 1;
     ++stats_.hits;
     GetCacheCounters().hits->Increment();
     dist.slot = it->second;
-    dist.cacheable = true;
     return dist;
   }
+  NoteLookup(false);
   ++stats_.misses;
   GetCacheCounters().misses->Increment();
   lm.NextTokenWeightsRestricted(context, candidates, ws, &ws->weights);
   ApplyTemperatureShaping(&ws->weights, temperature);
-  Insert(key, ws->weights);
-  dist.slot = index_.find(key)->second;
-  dist.cacheable = true;
+  if (admitting_) {
+    dist.slot = Insert(key, ws->weights);
+    return dist;
+  }
+  ++stats_.refused;
+  FillCdf(ws->weights, &scratch_.cdf, &scratch_.total);
+  dist.slot = kScratchSlot;
   return dist;
 }
 
 TokenId DecodeCache::DrawResolved(const ResolvedDist& dist,
                                   const std::vector<TokenId>& candidates,
                                   Rng* rng) const {
-  assert(dist.cacheable && dist.slot < slots_.size());
-  return Draw(slots_[dist.slot], candidates, rng);
+  assert(dist.cacheable);
+  return Draw(EntryFor(dist), candidates, rng);
 }
 
 void DecodeCache::DrawResolvedMany(const ResolvedDist& dist,
@@ -281,8 +340,8 @@ void DecodeCache::DrawResolvedMany(const ResolvedDist& dist,
                                    Rng* const* rngs, size_t count,
                                    TokenId* out,
                                    std::vector<size_t>* scratch) const {
-  assert(dist.cacheable && dist.slot < slots_.size());
-  const Entry& entry = slots_[dist.slot];
+  assert(dist.cacheable);
+  const Entry& entry = EntryFor(dist);
   if (entry.total <= 0.0 || candidates.empty()) {
     // Zero candidate mass: Draw's uniform degradation path, per lane.
     for (size_t k = 0; k < count; ++k) {

@@ -130,8 +130,21 @@ struct DecodeWorkspace {
 /// encoded rows that share templates hit the cache thousands of times per
 /// run.
 ///
+/// Admission: lookups are scored in windows of kAdmitWindow. The first
+/// window admits every miss (a cold cache misses by construction). After
+/// it, insertion stops as soon as a window can no longer hit at least half
+/// the time, and a window that does turns it back on, so a workload whose
+/// contexts rarely repeat stops paying for entries it never reuses. When
+/// insertion stops, entries with a clear referenced bit (no hit since they
+/// were admitted or since the clock hand last passed them) are evicted;
+/// lookups keep probing the rest. A refused miss resolves into one
+/// per-cache scratch entry, valid until the next resolution like any other
+/// handle. Each entry's table is held at its live
+/// size, so bytes() tracks what the entries actually store.
+///
 /// Determinism: every draw is bitwise-identical to LanguageModel::SampleNext
 /// with the same arguments, including Rng stream advance (golden-tested).
+/// Admission only decides where a distribution is kept, never its values.
 /// Counters lm.cache.{hits,misses,evictions} and the lm.cache.bytes gauge
 /// track the global registry; per-instance LocalStats back unit tests
 /// without registry coupling.
@@ -142,7 +155,11 @@ class DecodeCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t uncacheable = 0;  ///< draws bypassing the cache entirely
+    uint64_t refused = 0;      ///< misses resolved without insertion
   };
+
+  /// Lookups per admission window.
+  static constexpr uint32_t kAdmitWindow = 256;
 
   explicit DecodeCache(const DecodeCacheOptions& options);
   ~DecodeCache();
@@ -170,15 +187,16 @@ class DecodeCache {
   /// Handle to a resolved distribution, for the batched decode engine's
   /// one-evaluation-per-group draws. Valid only until the next
   /// ResolveRestricted / SampleRestricted call on this cache (resolution
-  /// may insert, which can evict or move slot storage).
+  /// may insert, which can evict or move slot storage, or overwrite the
+  /// scratch entry).
   struct ResolvedDist {
     uint32_t slot = 0;
     bool cacheable = false;  ///< false: fall back to per-lane sampling
   };
 
-  /// Looks up or computes (and inserts) the restricted distribution
-  /// WITHOUT drawing, counting one hit or miss — so one resolution can
-  /// serve a draw for every lane of a batch group. Returns
+  /// Looks up or computes (and, when admitting, inserts) the restricted
+  /// distribution WITHOUT drawing, counting one hit or miss — so one
+  /// resolution can serve a draw for every lane of a batch group. Returns
   /// cacheable=false (and counts nothing) when the cache is disabled,
   /// `allow_id` is kNoAllowList, or the context window is unpackable.
   ResolvedDist ResolveRestricted(const LanguageModel& lm,
@@ -208,13 +226,18 @@ class DecodeCache {
 
   const LocalStats& stats() const { return stats_; }
   size_t size() const { return index_.size(); }
+  /// Memory held by admitted entries (the scratch entry is not counted).
   size_t bytes() const { return bytes_; }
+  /// Whether the next miss would be inserted.
+  bool admitting() const { return admitting_; }
   const DecodeCacheOptions& options() const { return options_; }
 
  private:
   static constexpr size_t kMaxKeyTokens = 16;
   /// Transient allow-list ids start here (still < kNoAllowList).
   static constexpr AllowListId kTransientBase = 0x80000000u;
+  /// ResolvedDist::slot of a refused miss: the scratch entry.
+  static constexpr uint32_t kScratchSlot = 0xffffffffu;
 
   struct Key {
     std::array<TokenId, kMaxKeyTokens> ctx{};
@@ -245,7 +268,16 @@ class DecodeCache {
                           Key* key);
 
   size_t EntryBytes(const Entry& entry) const;
-  Entry& Insert(const Key& key, const std::vector<double>& weights);
+  /// Counts one lookup toward the admission window; closing a window sets
+  /// admitting_ from its hit rate.
+  void NoteLookup(bool hit);
+  /// Evicts every entry whose referenced bit is clear, compacting the
+  /// rest to the front of slots_.
+  void DropUnreferenced();
+  const Entry& EntryFor(const ResolvedDist& dist) const {
+    return dist.slot == kScratchSlot ? scratch_ : slots_[dist.slot];
+  }
+  uint32_t Insert(const Key& key, const std::vector<double>& weights);
   TokenId Draw(const Entry& entry, const std::vector<TokenId>& candidates,
                Rng* rng) const;
 
@@ -255,6 +287,11 @@ class DecodeCache {
   size_t clock_hand_ = 0;
   size_t bytes_ = 0;
   LocalStats stats_;
+  bool admitting_ = true;
+  bool warm_ = false;  ///< the first (unjudged) window has closed
+  uint32_t window_lookups_ = 0;
+  uint32_t window_hits_ = 0;
+  Entry scratch_;  ///< a refused miss's distribution
   std::unordered_map<std::vector<TokenId>, AllowListId, TransientHash>
       transient_;
 };

@@ -12,9 +12,16 @@ namespace greater {
 
 /// Knobs for streaming sample emission (SampleRowsToCsvStreaming).
 struct SampleEmitOptions {
-  /// Rows decoded, rendered, and flushed per chunk — the emission-side
-  /// memory bound. One chunk of rows is the most ever held in memory.
+  /// Rows decoded, rendered, and flushed per chunk. At most `num_workers`
+  /// chunks are held in memory at once.
   size_t chunk_rows = 1024;
+  /// Chunks decoded in parallel, each worker with its own engine and
+  /// decode cache. 0 = one per hardware thread. Capped at the chunk count;
+  /// with one worker (or one chunk) emission decodes inline on the caller
+  /// and starts no thread. A pure throughput setting, like
+  /// `num_fit_shards`: the output bytes, the report and the checkpoint
+  /// keys are the same at every value.
+  size_t num_workers = 0;
   char delimiter = ',';
   /// Overrides the model's configured policy when set to a value; strict
   /// fails on the first exhausted row, lenient drops it and keeps going.
@@ -28,25 +35,36 @@ struct SampleEmitOptions {
 };
 
 /// Streams `n` sampled rows from a fitted synthesizer into a CSV file,
-/// chunk by chunk: each chunk is decoded by a BatchDecodeEngine (lockstep,
-/// one model evaluation per shared-key group), assembled through the
-/// columnar TableBuilder, rendered with the incremental CSV writer, and
-/// appended to `output_path` before the next chunk starts — so peak memory
-/// is one chunk of rows regardless of `n`.
+/// chunk by chunk. Workers decode chunks ahead of the file, each chunk by
+/// a BatchDecodeEngine (lockstep, one model evaluation per shared-key
+/// group) and rendered through the columnar TableBuilder and the
+/// incremental CSV writer. The calling thread commits them strictly in
+/// chunk order: it stores each chunk's checkpoint, appends its text to
+/// `output_path` and merges its report. Chunk c + num_workers starts only
+/// after chunk c is committed, so peak memory is num_workers chunks of
+/// rows regardless of `n`.
 ///
 /// Determinism: the call derives one stream base from Rng(seed) and lane i
 /// draws from Rng::DeriveStreamSeed(base, i), exactly like
 /// `Rng r(seed); model.Sample(n, &r)` — the output file holds the same
-/// rows, in the same order, at ANY chunk_rows value.
+/// rows, in the same order, at ANY chunk_rows and num_workers value.
 ///
-/// Crash resume: with a checkpoint directory, each completed chunk stores
+/// Failure: the first failing chunk in chunk order (a strict row error, an
+/// injected "stream.emit_chunk" fault, a write error) ends the call with
+/// the status a one-worker run returns, after the same file prefix.
+/// Chunks decoded past it are discarded and never stored.
+///
+/// Crash resume: with a checkpoint directory, each committed chunk stores
 /// its rendered CSV text and report delta under a key chained from the
-/// model fingerprint and emission options. Without one, the model is not
-/// serialized and nothing is hashed. The output file is rewritten
-/// from scratch on every run (a partial file from a killed run is simply
-/// overwritten), completed chunks replay from the store without touching
-/// the model, and the finished file is byte-identical to an uninterrupted
-/// run. Emits stream.emit.* metrics; the returned report reconciles.
+/// model fingerprint and emission options (not the worker count). Without
+/// one, the model is not serialized and nothing is hashed. The output file
+/// is rewritten from scratch on every run (a partial file from a killed
+/// run is simply overwritten), completed chunks replay from the store
+/// without touching the model, and the finished file is byte-identical to
+/// an uninterrupted run. Workers look chunks up in the store, so a failed
+/// run's stream.chunk_* counters may include up to num_workers - 1 chunks
+/// past the failure. Emits stream.emit.* metrics, counted at commit; the
+/// returned report reconciles.
 Result<SampleReport> SampleRowsToCsvStreaming(const GreatSynthesizer& model,
                                               size_t n, uint64_t seed,
                                               const std::string& output_path,

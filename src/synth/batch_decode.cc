@@ -90,11 +90,17 @@ void BatchDecodeEngine::PrepareLanes() {
   closed_.assign(lanes, 0);
   constrain_.assign(lanes, 0);
   lane_failed_.assign(lanes, 0);
-  last_error_.assign(lanes, Status::OK());
   final_status_.assign(lanes, Status::OK());
   emitted_.assign(cells, 0);
-  forced_has_.assign(cells, 0);
-  forced_value_.assign(cells, Value::Null());
+  // Forced-cell state exists only for calls that condition some lane; an
+  // unconditioned chunk never touches (or sizes) it.
+  has_conditions_ = std::any_of(
+      lane_specs_.begin(), lane_specs_.end(),
+      [](const LaneRequest& spec) { return spec.conditions != nullptr; });
+  if (has_conditions_) {
+    forced_has_.assign(cells, 0);
+    forced_value_.assign(cells, Value::Null());
+  }
   row_scratch_.resize(lanes);
   prefix_buf_.resize(lanes);
   if (num_columns_ > 64) lane_names_.resize(lanes);
@@ -141,16 +147,22 @@ void BatchDecodeEngine::PrepareLanes() {
     StartLane(lane);
   }
 
-  // Phase B: one arena sized for the worst-case attempt — the longest
-  // forced prefix plus every generated column at the value-token cap. The
-  // lockstep loop then appends tokens with plain stores, no growth.
+  // Phase B: the arena. No attempt outgrows the longest forced prefix
+  // plus every generated column at the value-token cap (arena_cap_), but
+  // real rows are several times shorter, so the stride starts at a short
+  // row — or at the widest stride an earlier call needed — and Step
+  // widens it only when some lane could outgrow it. Token appends stay
+  // plain stores.
   size_t max_prefix = 0;
   for (size_t lane = 0; lane < lanes; ++lane) {
     max_prefix = std::max(max_prefix, prefix_buf_[lane].size());
   }
-  arena_stride_ =
+  arena_cap_ =
       max_prefix +
       num_columns_ * (GreatSynthesizer::kMaxValueTokens + 3);
+  arena_stride_ = std::min(
+      arena_cap_,
+      std::max(arena_stride_, max_prefix + 4 * num_columns_ + 3));
   if (arena_.size() < lanes * arena_stride_) {
     arena_.resize(lanes * arena_stride_);
   }
@@ -209,7 +221,7 @@ void BatchDecodeEngine::StartLane(size_t lane) {
   prefix.clear();
   size_t written = 0;
   for (size_t c = 0; c < num_columns_; ++c) {
-    if (!forced_has_[lane * num_columns_ + c]) continue;
+    if (!Forced(lane, c)) continue;
     if (written > 0) prefix.push_back(encoder.comma_token());
     prefix.push_back(columns[c].name_token);
     prefix.push_back(encoder.is_token());
@@ -235,7 +247,7 @@ void BatchDecodeEngine::BeginAttempt(size_t lane) {
   ctx_len_[lane] = prefix_len_[lane];
   size_t forced_count = 0;
   for (size_t c = 0; c < num_columns_; ++c) {
-    uint8_t has = forced_has_[lane * num_columns_ + c];
+    uint8_t has = Forced(lane, c) ? 1 : 0;
     emitted_[lane * num_columns_ + c] = has;
     forced_count += has;
   }
@@ -273,7 +285,7 @@ void BatchDecodeEngine::FinalizeAttempt(size_t lane) {
   if (options.restrict_to_observed) {
     bool valid = true;
     for (size_t c = 0; c < num_columns_; ++c) {
-      if (forced_has_[lane * num_columns_ + c]) continue;
+      if (Forced(lane, c)) continue;
       display_scratch_ = row[c].ToDisplayString();
       if (synth_.observed_values_[c].set.count(display_scratch_) == 0) {
         if (attempt_[lane] + 1 == options.max_attempts_per_row &&
@@ -308,7 +320,7 @@ void BatchDecodeEngine::FinalizeAttempt(size_t lane) {
   // Forced values override whatever round-tripped through tokens (they
   // may contain words outside the vocabulary).
   for (size_t c = 0; c < num_columns_; ++c) {
-    if (forced_has_[lane * num_columns_ + c]) {
+    if (Forced(lane, c)) {
       row[c] = forced_value_[lane * num_columns_ + c];
     }
   }
@@ -318,8 +330,7 @@ void BatchDecodeEngine::FinalizeAttempt(size_t lane) {
   --active_;
 }
 
-void BatchDecodeEngine::FailAttempt(size_t lane, Status error) {
-  last_error_[lane] = std::move(error);
+void BatchDecodeEngine::FailAttempt(size_t lane, const Status& error) {
   const GreatSynthesizer::Options& options = synth_.options_;
   if (attempt_[lane] + 1 >= options.max_attempts_per_row) {
     ++rep(lane).rows_exhausted;
@@ -327,7 +338,7 @@ void BatchDecodeEngine::FailAttempt(size_t lane, Status error) {
                Status::ResourceExhausted(
                    "no valid row after " +
                    std::to_string(options.max_attempts_per_row) +
-                   " attempts; last error: " + last_error_[lane].ToString()));
+                   " attempts; last error: " + error.ToString()));
     return;
   }
   ++attempt_[lane];
@@ -651,8 +662,10 @@ size_t BatchDecodeEngine::Step() {
   order_.clear();
   group_rep_.clear();
   group_count_.clear();
+  size_t longest = 0;
   for (size_t lane = 0; lane < num_lanes_; ++lane) {
     if (state_[lane] == LaneState::kDone) continue;
+    longest = std::max(longest, ctx_len_[lane]);
     PrepareDraw(lane);
     order_.push_back(static_cast<uint32_t>(lane));
     if (solo_[lane]) {
@@ -713,12 +726,31 @@ size_t BatchDecodeEngine::Step() {
   local_stats_.model_evals_saved += order_.size() - groups;
   GetBatchCounters().groups_per_step->Observe(static_cast<double>(groups));
 
+  // A step appends at most two tokens per lane (name + "is", or a value
+  // token + the comma that opens the next column).
+  if (longest + 2 > arena_stride_) WidenArena(longest + 2);
+
   // Token application is lane-local, so the grouped draw order above
   // cannot leak between lanes here.
   for (uint32_t lane : order_) {
     ApplyToken(lane, token_[lane]);
   }
   return groups;
+}
+
+void BatchDecodeEngine::WidenArena(size_t need) {
+  if (arena_stride_ >= arena_cap_) return;  // no attempt outgrows the cap
+  const size_t old_stride = arena_stride_;
+  arena_stride_ = std::min(arena_cap_, std::max(2 * old_stride, need));
+  arena_.resize(std::max(arena_.size(), num_lanes_ * arena_stride_));
+  // Re-lay lanes highest first: a lane's new slice starts at or after its
+  // old one and ends before any higher lane's new slice, so no context is
+  // overwritten before it moves.
+  for (size_t lane = num_lanes_; lane-- > 1;) {
+    TokenId* from = arena_.data() + lane * old_stride;
+    std::copy_backward(from, from + ctx_len_[lane],
+                       arena_.data() + lane * arena_stride_ + ctx_len_[lane]);
+  }
 }
 
 void BatchDecodeEngine::RunLanes(const LaneRequest* lanes, size_t count,

@@ -132,9 +132,9 @@ class BatchDecodeEngine {
   /// Decode + validation + snap + forced overrides for a completed
   /// attempt; success parks the row in row_scratch_[lane].
   void FinalizeAttempt(size_t lane);
-  /// Attempt-level rejection: records last_error and either retries or
-  /// exhausts the lane.
-  void FailAttempt(size_t lane, Status error);
+  /// Attempt-level rejection: retries, or exhausts the lane with `error`
+  /// named as the last one.
+  void FailAttempt(size_t lane, const Status& error);
   void FinishLane(size_t lane, Status status);
   /// Applies a drawn token to the lane: name selection, value append, or
   /// value close.
@@ -163,10 +163,17 @@ class BatchDecodeEngine {
   /// One grouped evaluation + per-lane draws over order_[first, last).
   void DrawGroup(size_t first, size_t last);
   void CopyContext(size_t lane);
+  /// Re-lays the arena at a stride of at least `need` tokens (doubling,
+  /// capped at arena_cap_), moving every lane's context to its new slice.
+  void WidenArena(size_t need);
 
   /// The lane's accounting sink (per-lane since RunLanes: packed lanes may
   /// belong to different requests, each with its own report).
   SampleReport& rep(size_t lane) { return *lane_specs_[lane].report; }
+  /// Whether the lane's condition forces column `c`.
+  bool Forced(size_t lane, size_t c) const {
+    return has_conditions_ && forced_has_[lane * num_columns_ + c];
+  }
 
   const GreatSynthesizer& synth_;
 
@@ -198,20 +205,26 @@ class BatchDecodeEngine {
   std::vector<uint8_t> closed_;
   std::vector<uint8_t> constrain_;
   std::vector<uint8_t> lane_failed_;
-  std::vector<Status> last_error_;
   std::vector<Status> final_status_;
   std::vector<uint8_t> emitted_;       ///< lane * num_columns_ + c
-  std::vector<uint8_t> forced_has_;    ///< lane * num_columns_ + c
-  std::vector<Value> forced_value_;    ///< lane * num_columns_ + c
+  /// Forced cells (lane * num_columns_ + c), sized only when some lane of
+  /// the call is conditioned.
+  bool has_conditions_ = false;
+  std::vector<uint8_t> forced_has_;
+  std::vector<Value> forced_value_;
   std::vector<Row> row_scratch_;       ///< decode target / final row
   std::vector<std::vector<TokenId>> prefix_buf_;  ///< forced-prefix tokens
 
   /// Token arena: lane contexts live at [lane * arena_stride_,
-  /// lane * arena_stride_ + ctx_len_[lane]). Sized once per chunk from
-  /// the worst-case row length; never reallocated mid-chunk, so token
-  /// appends are plain stores.
+  /// lane * arena_stride_ + ctx_len_[lane]). The stride starts at a short
+  /// row and only widens, between a step's draws and its token appends,
+  /// when some lane could outgrow it (WidenArena); it never exceeds
+  /// arena_cap_, the worst-case attempt length, and later calls start
+  /// from the widest stride an earlier one needed. Token appends are plain
+  /// stores.
   std::vector<TokenId> arena_;
   size_t arena_stride_ = 0;
+  size_t arena_cap_ = 0;
 
   // --- per-step draw scratch ---
   std::vector<std::vector<TokenId>> lane_names_;  ///< wide-schema fallback

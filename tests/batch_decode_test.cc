@@ -268,6 +268,31 @@ TEST(BatchDecodeTest, EngineEqualsReferenceFreeValueMode) {
   EXPECT_GT(coverage.rows_exhausted, 0u);
 }
 
+// Multi-word values: a row runs to several times the arena's starting
+// stride (four tokens per column), so every chunk widens it while lanes
+// are mid-row, conditioned prefixes included.
+TEST(BatchDecodeTest, ArenaWidensMidChunkAndEqualsReference) {
+  Schema schema({Field("name", ValueType::kString),
+                 Field("motto", ValueType::kString)});
+  Table train(schema);
+  const char* names[] = {"Grace", "Yin", "Anson", "Mia"};
+  const char* mottos[] = {"slow and steady wins the long race today",
+                          "measure twice then cut once and measure again",
+                          "the early bird gets the worm every single time"};
+  Rng rng(3);
+  for (int i = 0; i < 36; ++i) {
+    ASSERT_TRUE(
+        train.AppendRow({Value(names[i % 4]), Value(mottos[rng.Index(3)])})
+            .ok());
+  }
+  Table conditions = NameConditions(12);
+  GreatSynthesizer::Options options;
+  ExpectEngineMatchesReference(options, train, nullptr, 24, {1, 8, 64},
+                               "long values");
+  ExpectEngineMatchesReference(options, train, &conditions, 0, {1, 8, 64},
+                               "long values conditional");
+}
+
 TEST(BatchDecodeTest, EngineEqualsReferenceWideSchema) {
   Table train = WideTable();
   Table conditions = WideConditions(6);
@@ -402,6 +427,25 @@ TEST(BatchDecodeTest, SmallCallAfterLargeOneEqualsReference) {
                               "64 lanes, second cache");
   ExpectChunkMatchesReference(&engine, synth, 0, 64, nullptr, 80, nullptr,
                               "64 lanes, cache off");
+}
+
+// Lockstep DIGIX chunks rarely repeat a draw key, so the cache stops
+// admitting in its second window and evicts the entries no lookup hit.
+// From then on most draws resolve through the scratch entry, and the rows
+// must still equal the reference decoder's, chunk after chunk.
+TEST(BatchDecodeTest, RefusingCacheEqualsReference) {
+  Table train = DigixAds();
+  GreatSynthesizer::Options options;
+  GreatSynthesizer synth = FitWith(options, train, 7);
+  BatchDecodeEngine engine(synth);
+  DecodeCache cache(options.decode_cache);
+  ExpectChunkMatchesReference(&engine, synth, 0, 1024, nullptr, 91, &cache,
+                              "first chunk");
+  ExpectChunkMatchesReference(&engine, synth, 1024, 2048, nullptr, 91,
+                              &cache, "second chunk");
+  EXPECT_FALSE(cache.admitting());
+  EXPECT_GT(cache.stats().refused, cache.stats().hits);
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(BatchDecodeTest, SampleRowIsAChunkOfOne) {

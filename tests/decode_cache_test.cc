@@ -156,6 +156,122 @@ TEST(DecodeCacheTest, SecondChanceEvictionBoundsTheCache) {
   EXPECT_GT(cache.bytes(), 0u);
 }
 
+TEST(DecodeCacheTest, ReusedSlotHoldsOnlyItsLiveCdf) {
+  // A one-slot cache: the narrow entry evicts the wide one into the same
+  // slot, which must then hold two doubles, not the wide list's capacity.
+  NGramLm lm(2048);  // unfitted: uniform weights, still cacheable
+  std::vector<TokenId> wide;
+  for (TokenId t = 10; t < 1210; ++t) wide.push_back(t);
+  const std::vector<TokenId> narrow = {100, 101};
+  DecodeCacheOptions options;
+  options.capacity = 1;
+  DecodeCache cache(options);
+  const AllowListId wide_id = cache.InternTransient(wide);
+  const AllowListId narrow_id = cache.InternTransient(narrow);
+  DecodeWorkspace cached_ws, plain_ws;
+  Rng cached_rng(3), plain_rng(3);
+  auto draw = [&](const TokenSequence& context,
+                  const std::vector<TokenId>& candidates, AllowListId id) {
+    TokenId cached = cache.SampleRestricted(lm, context, candidates, id, 1.0,
+                                            &cached_rng, &cached_ws);
+    EXPECT_EQ(cached, lm.SampleNext(context, &plain_rng, 1.0, &candidates,
+                                    &plain_ws));
+  };
+
+  draw({5}, wide, wide_id);
+  const size_t wide_bytes = cache.bytes();
+  draw({6}, narrow, narrow_id);
+  draw({6}, narrow, narrow_id);  // hit on the reused slot
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(wide_bytes - cache.bytes(),
+            (wide.size() - narrow.size()) * sizeof(double));
+
+  // The live size is what a fresh cache holding only that entry reports.
+  DecodeCache fresh(options);
+  DecodeWorkspace fresh_ws;
+  Rng fresh_rng(3);
+  fresh.SampleRestricted(lm, {6}, narrow, fresh.InternTransient(narrow), 1.0,
+                         &fresh_rng, &fresh_ws);
+  EXPECT_EQ(cache.bytes(), fresh.bytes());
+
+  draw({5}, wide, wide_id);  // and back: the slot regrows exactly
+  EXPECT_EQ(cache.bytes(), wide_bytes);
+  EXPECT_EQ(cached_rng.Uniform(), plain_rng.Uniform());
+}
+
+// ---------- Admission ----------
+
+TEST(DecodeCacheTest, AdmissionStopsOnMissesKeepsHitEntriesAndResumes) {
+  // Context t is followed by 100 + t % 3, so neighbouring contexts have
+  // different distributions: a lookup that reached the wrong entry after
+  // the eviction compacts the table would draw differently.
+  std::vector<TokenSequence> corpus;
+  for (TokenId t = 10; t < 1000; ++t) corpus.push_back({t, 100 + t % 3});
+  NGramLm lm(4096);
+  ASSERT_TRUE(lm.Fit(corpus).ok());
+  const std::vector<TokenId> candidates = {100, 101, 102};
+  DecodeCache cache{DecodeCacheOptions{}};
+  const AllowListId allow_id = cache.InternTransient(candidates);
+  DecodeWorkspace cached_ws, plain_ws;
+  Rng cached_rng(9), plain_rng(9);
+  auto draw = [&](TokenId last) {
+    TokenSequence context = {last};
+    TokenId cached = cache.SampleRestricted(lm, context, candidates, allow_id,
+                                            1.0, &cached_rng, &cached_ws);
+    EXPECT_EQ(cached, lm.SampleNext(context, &plain_rng, 1.0, &candidates,
+                                    &plain_ws));
+  };
+  const uint32_t window = DecodeCache::kAdmitWindow;
+  auto once = [](uint32_t j) { return static_cast<TokenId>(10 + 6 * j); };
+  auto twice = [](uint32_t j) { return static_cast<TokenId>(11 + 6 * j); };
+
+  // The first window fills the cold cache unjudged. Entries drawn once and
+  // entries drawn twice (so hit) alternate in the table.
+  const uint32_t pairs = window / 3;  // 85 triples, then one more hit
+  for (uint32_t j = 0; j < pairs; ++j) {
+    draw(once(j));
+    draw(twice(j));
+    draw(twice(j));
+  }
+  draw(twice(0));
+  EXPECT_TRUE(cache.admitting());
+  EXPECT_EQ(cache.size(), 2 * pairs);
+
+  // Then distinct contexts only: insertion stops at the miss that leaves
+  // the window unable to reach half hits, and every entry no lookup hit
+  // is evicted. The hit ones stay, compacted to the front.
+  for (uint32_t i = 0; i < window; ++i) {
+    draw(static_cast<TokenId>(600 + i));
+  }
+  EXPECT_FALSE(cache.admitting());
+  EXPECT_EQ(cache.size(), pairs);
+  EXPECT_EQ(cache.stats().refused, window / 2);
+  EXPECT_EQ(cache.stats().evictions, pairs + window / 2);
+
+  // The kept entries are still probed, each to its own distribution; a
+  // window that hits them at least half the time turns insertion back on.
+  const uint64_t hits = cache.stats().hits;
+  for (uint32_t i = 0; i < window; ++i) draw(twice(i % pairs));
+  EXPECT_EQ(cache.stats().hits - hits, window);
+  EXPECT_TRUE(cache.admitting());
+  draw(static_cast<TokenId>(900));  // a new key is admitted
+  EXPECT_EQ(cache.size(), pairs + 1);
+
+  // A stream that mostly repeats never trips, however long it runs.
+  DecodeCache hot{DecodeCacheOptions{}};
+  const AllowListId hot_id = hot.InternTransient(candidates);
+  Rng hot_rng(5);
+  for (uint32_t i = 0; i < 8 * window; ++i) {
+    hot.SampleRestricted(lm, {static_cast<TokenId>(10 + i % 16)}, candidates,
+                         hot_id, 1.0, &hot_rng, &cached_ws);
+  }
+  EXPECT_TRUE(hot.admitting());
+  EXPECT_EQ(hot.stats().refused, 0u);
+  EXPECT_EQ(hot.size(), 16u);
+  EXPECT_EQ(cached_rng.Uniform(), plain_rng.Uniform());
+}
+
 // ---------- Zero allocations on the hit path ----------
 
 TEST(DecodeCacheTest, HitPathDoesNotAllocate) {

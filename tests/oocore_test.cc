@@ -1,10 +1,11 @@
 // Out-of-core suite (`ctest -L oocore`): shard-parallel streaming fit
 // that must land bitwise-identical to the serial Fit at every shard
 // count, chunked sample emission that must render the same bytes as a
-// direct Sample call at any chunk size, per-chunk crash resume on the
-// emission store, and a fork + SIGKILL sweep over the end-to-end
-// RunFromCsvStreaming driver that must produce a byte-identical output
-// file after resuming from the same checkpoint directory.
+// direct Sample call at any chunk size and worker count, per-chunk crash
+// resume on the emission store, and a fork + SIGKILL sweep over the
+// end-to-end RunFromCsvStreaming driver that must produce a
+// byte-identical output file after resuming from the same checkpoint
+// directory.
 
 #include <signal.h>
 #include <sys/types.h>
@@ -303,6 +304,174 @@ TEST_F(OocoreTest, EmissionResumesFromChunkStoreAfterInjectedCrash) {
   EXPECT_TRUE(resumed->Reconciles());
   EXPECT_EQ(hits.Value() - hits_before, 2u);
   EXPECT_EQ(Slurp(out), Slurp(ref));
+}
+
+TEST_F(OocoreTest, EmissionResumesAfterInjectedCrashAtAnyWorkerCount) {
+  // The crash-resume contract with chunks decoded ahead on a pool: only
+  // chunks the committer reached before the fault are stored, whatever
+  // the workers had already decoded past it.
+  Table train = TrainTable(60);
+  GreatSynthesizer model{GreatSynthesizer::Options()};
+  Rng fit_rng(17);
+  ASSERT_TRUE(model.Fit(train, &fit_rng).ok());
+
+  for (size_t workers : {2u, 4u}) {
+    SCOPED_TRACE("num_workers=" + std::to_string(workers));
+    fs::path dir = ScratchDir("oocore_emit_resume_" + std::to_string(workers));
+    fs::path out = dir / "out.csv";
+    SampleEmitOptions emit;
+    emit.chunk_rows = 8;
+    emit.num_workers = workers;
+    emit.checkpoint_dir = (dir / "ckpt").string();
+
+    fs::path ref = dir / "ref.csv";
+    SampleEmitOptions no_ckpt;
+    no_ckpt.chunk_rows = 8;
+    no_ckpt.num_workers = 1;
+    ASSERT_TRUE(
+        SampleRowsToCsvStreaming(model, 30, 7, ref.string(), no_ckpt).ok());
+
+    {
+      FaultSpec spec;
+      spec.skip_hits = 2;
+      spec.max_fires = 1;
+      ScopedFault fault("stream.emit_chunk", spec);
+      Result<SampleReport> failed =
+          SampleRowsToCsvStreaming(model, 30, 7, out.string(), emit);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+    }
+    size_t stored = 0;
+    for (const auto& entry : fs::directory_iterator(dir / "ckpt")) {
+      (void)entry;
+      ++stored;
+    }
+    EXPECT_EQ(stored, 2u);
+
+    Counter& hits =
+        MetricsRegistry::Global().GetCounter("stream.emit.checkpoint_hits");
+    uint64_t hits_before = hits.Value();
+    Result<SampleReport> resumed =
+        SampleRowsToCsvStreaming(model, 30, 7, out.string(), emit);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_TRUE(resumed->Reconciles());
+    EXPECT_EQ(hits.Value() - hits_before, 2u);
+    EXPECT_EQ(Slurp(out), Slurp(ref));
+  }
+}
+
+// One emission's observable outcome: status, file bytes, report and the
+// stream.emit.* counter deltas.
+struct EmitOutcome {
+  std::string status;
+  std::string bytes;
+  std::string report;
+  uint64_t chunks = 0;
+  uint64_t rows = 0;
+  uint64_t hits = 0;
+};
+
+EmitOutcome EmitWith(const GreatSynthesizer& model, size_t n,
+                     const SampleEmitOptions& emit, const fs::path& out) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter& chunks = metrics.GetCounter("stream.emit.chunks");
+  Counter& rows = metrics.GetCounter("stream.emit.rows");
+  Counter& hits = metrics.GetCounter("stream.emit.checkpoint_hits");
+  const uint64_t chunks_before = chunks.Value();
+  const uint64_t rows_before = rows.Value();
+  const uint64_t hits_before = hits.Value();
+  Result<SampleReport> report =
+      SampleRowsToCsvStreaming(model, n, 23, out.string(), emit);
+  EmitOutcome outcome;
+  outcome.status = report.status().ToString();
+  outcome.bytes = Slurp(out);
+  if (report.ok()) {
+    EXPECT_TRUE(report->Reconciles());
+    EXPECT_EQ(rows.Value() - rows_before, report->rows_emitted);
+    outcome.report = report->ToString();
+  }
+  outcome.chunks = chunks.Value() - chunks_before;
+  outcome.rows = rows.Value() - rows_before;
+  outcome.hits = hits.Value() - hits_before;
+  return outcome;
+}
+
+void ExpectSameOutcome(const EmitOutcome& expected, const EmitOutcome& got) {
+  EXPECT_EQ(got.status, expected.status);
+  EXPECT_EQ(got.bytes, expected.bytes);
+  EXPECT_EQ(got.report, expected.report);
+  EXPECT_EQ(got.chunks, expected.chunks);
+  EXPECT_EQ(got.rows, expected.rows);
+  EXPECT_EQ(got.hits, expected.hits);
+}
+
+TEST_F(OocoreTest, EmissionIsInvariantToWorkerCount) {
+  // Free-value decoding on a bigram model with a tight retry budget and
+  // no fallback grammar exhausts some rows: lenient runs drop them, strict
+  // runs stop on the first one.
+  GreatSynthesizer::Options options;
+  options.ngram.order = 2;
+  options.constrain_values_to_column = false;
+  options.max_attempts_per_row = 3;
+  options.fallback_to_constrained = false;
+  GreatSynthesizer model(options);
+  Rng fit_rng(17);
+  ASSERT_TRUE(model.Fit(TrainTable(60), &fit_rng).ok());
+
+  fs::path dir = ScratchDir("oocore_emit_workers");
+  uint64_t lenient_exhausted = 0;
+  bool strict_failed = false;
+  for (SamplePolicy policy : {SamplePolicy::kLenient, SamplePolicy::kStrict}) {
+    for (size_t n : {0u, 1u, 41u}) {
+      for (size_t chunk_rows : {1u, 7u, 1024u}) {
+        SampleEmitOptions emit;
+        emit.chunk_rows = chunk_rows;
+        emit.policy = policy;
+        emit.use_model_policy = false;
+        emit.num_workers = 1;
+        const std::string tag = std::string(SamplePolicyToString(policy)) +
+                                " n=" + std::to_string(n) +
+                                " chunk_rows=" + std::to_string(chunk_rows);
+        const EmitOutcome serial = EmitWith(model, n, emit, dir / "serial.csv");
+        EXPECT_EQ(serial.hits, 0u);
+        if (serial.status == "OK") {
+          EXPECT_EQ(serial.chunks, (n + chunk_rows - 1) / chunk_rows) << tag;
+        } else {
+          strict_failed = true;
+        }
+        if (policy == SamplePolicy::kLenient) {
+          ASSERT_EQ(serial.status, "OK") << tag;
+          lenient_exhausted += serial.rows < n ? 1 : 0;
+        }
+        for (size_t workers : {2u, 4u}) {
+          SCOPED_TRACE(tag + " num_workers=" + std::to_string(workers));
+          emit.num_workers = workers;
+          ExpectSameOutcome(serial,
+                            EmitWith(model, n, emit, dir / "parallel.csv"));
+        }
+      }
+    }
+  }
+  // Both failure modes were exercised, not just clean runs.
+  EXPECT_GT(lenient_exhausted, 0u);
+  EXPECT_TRUE(strict_failed);
+
+  // Checkpoint keys leave the worker count out: a store written by one
+  // worker replays every chunk into a four-worker run.
+  SampleEmitOptions emit;
+  emit.chunk_rows = 7;
+  emit.num_workers = 1;
+  emit.policy = SamplePolicy::kLenient;
+  emit.use_model_policy = false;
+  emit.checkpoint_dir = (dir / "ckpt").string();
+  const EmitOutcome stored = EmitWith(model, 41, emit, dir / "stored.csv");
+  ASSERT_EQ(stored.status, "OK");
+  emit.num_workers = 4;
+  const EmitOutcome replayed = EmitWith(model, 41, emit, dir / "replayed.csv");
+  EXPECT_EQ(replayed.bytes, stored.bytes);
+  EXPECT_EQ(replayed.report, stored.report);
+  EXPECT_EQ(replayed.hits, 6u);
+  EXPECT_EQ(replayed.chunks, 6u);
 }
 
 TEST_F(OocoreTest, UndecodableEmissionChunkIsACorruptMiss) {
