@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <future>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "common/artifact_io.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace greater {
 namespace {
@@ -75,25 +76,24 @@ Status NGramLm::Freeze(CountShard counts) {
     GREATER_RETURN_NOT_OK(prior.AccumulateChunk(prior_, vocab_size_));
     counts.Merge(CountShard(prior));
   }
-  const std::vector<CountShard::Node>& nodes = counts.nodes();
-  const size_t num_contexts = nodes.size();
+  counts.FinishCounts();
+  prior.FinishCounts();
+  const std::vector<uint32_t>& prefix = counts.prefixes();
+  const std::vector<TokenId>& newest = counts.tokens();
+  const std::vector<uint8_t>& depth = counts.depths();
+  const size_t num_contexts = counts.num_nodes();
 
-  // Context length of every node (parents precede children), then the
-  // level boundaries.
-  std::vector<uint8_t> depth(num_contexts, 0);
   std::vector<uint64_t> level_begin(options_.order + 1, 0);
   level_begin[1] = 1;
-  for (size_t n = 1; n < num_contexts; ++n) {
-    depth[n] = static_cast<uint8_t>(depth[nodes[n].parent] + 1);
-    ++level_begin[depth[n] + 1];
-  }
+  for (size_t n = 1; n < num_contexts; ++n) ++level_begin[depth[n] + 1];
   for (size_t k = 1; k < level_begin.size(); ++k) {
     level_begin[k] += level_begin[k - 1];
   }
 
   // Context ids in (length, ids) order, level by level. A length-k
-  // context's ids are its oldest token followed by its suffix's ids, and
-  // the suffix ids are already ranked, so (token, suffix id) sorts it.
+  // context's ids (oldest first) are its prefix's ids followed by its
+  // newest token, and the prefixes are already ranked, so (prefix rank,
+  // newest token) sorts it.
   std::vector<uint32_t> frozen(num_contexts, 0);
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> ranked(
       options_.order);
@@ -102,8 +102,8 @@ Status NGramLm::Freeze(CountShard counts) {
   }
   for (size_t k = 1; k < options_.order; ++k) {
     for (auto& [key, n] : ranked[k]) {
-      key = (uint64_t{static_cast<uint32_t>(nodes[n].token)} << 32) |
-            frozen[nodes[n].parent];
+      key = (uint64_t{frozen[prefix[n]]} << 32) |
+            static_cast<uint32_t>(newest[n]);
     }
     std::sort(ranked[k].begin(), ranked[k].end());
     for (size_t i = 0; i < ranked[k].size(); ++i) {
@@ -112,14 +112,19 @@ Status NGramLm::Freeze(CountShard counts) {
     ranked[k] = {};
   }
 
-  // The prior trie node matching each merged node (-1: not in the prior).
+  // The lookups walk suffixes: each context is its one-shorter suffix
+  // with its oldest token prepended. The oldest token follows the prefix
+  // chain down to length 1, and so does the prior trie node matching each
+  // merged node (-1: not in the prior).
+  std::vector<TokenId> oldest(num_contexts, 0);
   std::vector<int64_t> prior_node(num_contexts, -1);
   prior_node[0] = 0;
   for (size_t n = 1; n < num_contexts; ++n) {
-    int64_t suffix = prior_node[nodes[n].parent];
-    if (suffix >= 0) {
+    const uint32_t p = prefix[n];
+    oldest[n] = depth[n] == 1 ? newest[n] : oldest[p];
+    if (prior_node[p] >= 0) {
       prior_node[n] =
-          prior.FindChild(static_cast<uint32_t>(suffix), nodes[n].token);
+          prior.FindChild(static_cast<uint32_t>(prior_node[p]), newest[n]);
     }
   }
   auto slot_value = [&](uint64_t merged, uint64_t from_prior) {
@@ -134,29 +139,31 @@ Status NGramLm::Freeze(CountShard counts) {
   std::vector<double> ctx_total(num_contexts, 0.0);
   for (size_t n = 0; n < num_contexts; ++n) {
     uint32_t c = frozen[n];
-    ctx_parent[c] = frozen[nodes[n].parent];
-    ctx_token[c] = nodes[n].token;
+    ctx_parent[c] = frozen[counts.suffixes()[n]];
+    ctx_token[c] = oldest[n];
     uint64_t from_prior =
-        prior_node[n] < 0 ? 0 : prior.nodes()[prior_node[n]].total;
-    ctx_total[c] = slot_value(nodes[n].total, from_prior);
+        prior_node[n] < 0 ? 0 : prior.totals()[prior_node[n]];
+    ctx_total[c] = slot_value(counts.totals()[n], from_prior);
   }
 
-  // CSR successor spans: bucket cells by context, then sort each span by
-  // token.
-  const std::vector<FlatU64Map::Slot>& slots = counts.successors().slots();
+  // CSR successor spans: bucket counted cells by context, then sort each
+  // span by token.
+  const std::vector<CountShard::CellTable::Slot>& slots =
+      counts.cells().slots();
+  auto counted = [](const CountShard::CellTable::Slot& slot) {
+    return slot.key != CountShard::CellTable::kEmpty && slot.value.count > 0;
+  };
   std::vector<uint64_t> succ_begin(num_contexts + 1, 0);
-  for (const FlatU64Map::Slot& slot : slots) {
-    if (slot.key != FlatU64Map::kEmpty) {
-      ++succ_begin[frozen[slot.key >> 32] + 1];
-    }
+  for (const auto& slot : slots) {
+    if (counted(slot)) ++succ_begin[frozen[slot.key >> 32] + 1];
   }
   for (size_t c = 1; c <= num_contexts; ++c) {
     succ_begin[c] += succ_begin[c - 1];
   }
   std::vector<std::pair<TokenId, double>> cells(succ_begin[num_contexts]);
   std::vector<uint64_t> cursor(succ_begin.begin(), succ_begin.end() - 1);
-  for (const FlatU64Map::Slot& slot : slots) {
-    if (slot.key == FlatU64Map::kEmpty) continue;
+  for (const auto& slot : slots) {
+    if (!counted(slot)) continue;
     size_t n = slot.key >> 32;
     auto target = static_cast<TokenId>(slot.key & 0xffffffffu);
     uint64_t from_prior =
@@ -164,7 +171,8 @@ Status NGramLm::Freeze(CountShard counts) {
             ? 0
             : prior.SuccessorCount(static_cast<uint32_t>(prior_node[n]),
                                    target);
-    cells[cursor[frozen[n]]++] = {target, slot_value(slot.value, from_prior)};
+    cells[cursor[frozen[n]]++] = {target,
+                                  slot_value(slot.value.count, from_prior)};
   }
   for (size_t c = 0; c < num_contexts; ++c) {
     std::sort(cells.begin() + static_cast<ptrdiff_t>(succ_begin[c]),
@@ -226,61 +234,81 @@ Status NGramLm::FitStreaming(const SequenceChunkIterator& next_chunk,
   std::vector<CountShard> shards;
   shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) shards.emplace_back(options_.order);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_shards > 1) pool = std::make_unique<ThreadPool>(num_shards);
+  std::vector<std::vector<TokenSequence>> buffers(num_shards);
+  ThreadPool pool(num_shards);
 
-  // Wave dispatch: buffer up to num_shards chunks, then run wave position
-  // j on shard j (so global chunk i always lands on shard i % num_shards
-  // — a fixed plan independent of scheduling). Peak in-flight data is one
-  // wave of chunks.
-  uint64_t total_sequences = 0;
-  bool done = false;
-  while (!done) {
-    std::vector<std::vector<TokenSequence>> wave;
-    while (wave.size() < num_shards) {
-      GREATER_ASSIGN_OR_RETURN(std::optional<std::vector<TokenSequence>> chunk,
+  // Pulls up to num_shards chunks into `wave`. On a pull error, `wave`
+  // keeps the chunks pulled before it, so they still run first.
+  bool exhausted = false;
+  auto pull_wave = [&](std::vector<DeferredChunk>* wave) -> Status {
+    wave->clear();
+    while (!exhausted && wave->size() < num_shards) {
+      GREATER_ASSIGN_OR_RETURN(std::optional<DeferredChunk> chunk,
                                next_chunk());
       if (!chunk.has_value()) {
-        done = true;
+        exhausted = true;
         break;
       }
-      if (chunk->empty()) continue;
-      wave.push_back(std::move(*chunk));
+      wave->push_back(std::move(*chunk));
     }
-    if (wave.empty()) continue;
-    std::vector<Status> wave_status(wave.size());
-    auto accumulate = [&](size_t shard, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        wave_status[i] = shards[shard].AccumulateChunk(wave[i], vocab_size_);
-      }
-    };
-    if (pool != nullptr) {
-      // count == num_shards == wave.size() partitions to [j, j+1) per
-      // shard: wave position j accumulates into shards[j].
-      pool->ParallelFor(wave.size(), wave.size(), accumulate);
-    } else {
-      accumulate(0, 0, wave.size());
+    return Status::OK();
+  };
+
+  // Wave position j runs on shard j, so global chunk i always lands on
+  // shard i % num_shards — a fixed plan independent of scheduling.
+  uint64_t total_sequences = 0;
+  std::vector<DeferredChunk> wave;
+  std::vector<DeferredChunk> next;
+  Status pulled = pull_wave(&wave);
+  while (!wave.empty()) {
+    std::vector<Status> status(wave.size());
+    std::vector<std::future<void>> running;
+    running.reserve(wave.size());
+    for (size_t j = 0; j < wave.size(); ++j) {
+      running.push_back(pool.Submit([&, j] {
+        status[j] = wave[j](&buffers[j]);
+        wave[j] = nullptr;  // the chunk's input is no longer needed
+        if (status[j].ok()) {
+          status[j] = shards[j].AccumulateChunk(buffers[j], vocab_size_);
+        }
+      }));
     }
-    for (size_t i = 0; i < wave.size(); ++i) {
-      GREATER_RETURN_NOT_OK(wave_status[i]);
-      total_sequences += wave[i].size();
-      seq_counter.Increment(wave[i].size());
+    next.clear();
+    if (pulled.ok()) pulled = pull_wave(&next);
+    {
+      Span span("lm.fit.wave");
+      for (std::future<void>& done : running) done.wait();
     }
-    chunk_counter.Increment(wave.size());
+    for (std::future<void>& done : running) done.get();
+    for (size_t j = 0; j < wave.size(); ++j) {
+      GREATER_RETURN_NOT_OK(status[j]);
+      total_sequences += buffers[j].size();
+      seq_counter.Increment(buffers[j].size());
+      if (!buffers[j].empty()) chunk_counter.Increment();
+    }
+    wave.swap(next);
   }
+  GREATER_RETURN_NOT_OK(pulled);
   if (total_sequences == 0) {
     return Status::Invalid(
         "NGramLm::FitStreaming requires at least one sequence");
   }
+  buffers = {};
 
   // Fixed-order fold: shard 0 absorbs 1, then 2, ... Integer counts make
   // any order exact; the fixed order keeps the plan auditable.
-  Counter& merge_counter = metrics.GetCounter("lm.fit.shard_merges");
-  for (size_t s = 1; s < shards.size(); ++s) {
-    shards[0].Merge(std::move(shards[s]));
-    merge_counter.Increment();
+  {
+    Span span("lm.fit.merge");
+    Counter& merge_counter = metrics.GetCounter("lm.fit.shard_merges");
+    for (size_t s = 1; s < shards.size(); ++s) {
+      shards[0].Merge(std::move(shards[s]));
+      merge_counter.Increment();
+    }
   }
-  GREATER_RETURN_NOT_OK(Freeze(std::move(shards[0])));
+  {
+    Span span("lm.fit.freeze");
+    GREATER_RETURN_NOT_OK(Freeze(std::move(shards[0])));
+  }
   fitted_ = true;
   return Status::OK();
 }

@@ -52,21 +52,35 @@ class NGramLm : public LanguageModel {
 
   Status Fit(const std::vector<TokenSequence>& sequences) override;
 
-  /// Pull iterator for out-of-core fitting: each call returns the next
-  /// chunk of flattened sequences, std::nullopt at end of input, or an
-  /// error. Called from the caller's thread only.
-  using SequenceChunkIterator =
-      std::function<Result<std::optional<std::vector<TokenSequence>>>()>;
+  /// One chunk of out-of-core input whose sequences are produced on the
+  /// shard that counts it: fills `out` (a buffer the shard reuses across
+  /// its chunks) or fails. Chunks of one wave run concurrently on
+  /// different shards, so a producer may only read shared state.
+  using DeferredChunk = std::function<Status(std::vector<TokenSequence>*)>;
 
-  /// Out-of-core Fit: drains `next_chunk`, fanning chunks over an internal
-  /// ThreadPool onto `num_shards` CountShard accumulators (chunk i goes to
-  /// shard i % num_shards), then folds shards in fixed shard-index order
-  /// and freezes the result into the flat tables. Shard counts are
-  /// integers, so the resulting model is bitwise-identical to serial Fit
-  /// on the concatenated chunks at ANY shard count — the same contract
-  /// NeuralLm keeps for its gradients. Peak memory is the count tables
-  /// plus one in-flight wave of chunks.
-  /// Emits lm.fit.shard_* metrics.
+  /// Pull iterator for out-of-core fitting: each call returns the next
+  /// deferred chunk, std::nullopt at end of input, or an error. Called
+  /// from the caller's thread only, in chunk order.
+  using SequenceChunkIterator =
+      std::function<Result<std::optional<DeferredChunk>>()>;
+
+  /// Out-of-core Fit: drains `next_chunk` in waves of `num_shards` chunks
+  /// over an internal ThreadPool. Chunk i is produced and counted on
+  /// CountShard i % num_shards; while a wave runs, the caller pulls the
+  /// next one. Shards then fold in fixed shard-index order and the result
+  /// freezes into the flat tables. Shard counts are integers, so the
+  /// resulting model is bitwise-identical to serial Fit on the
+  /// concatenated chunks at ANY shard count — the same contract NeuralLm
+  /// keeps for its gradients. Errors surface in chunk order: a chunk's
+  /// producer or validation error wins over any later chunk's, and a pull
+  /// error is returned once every chunk pulled before it has run. Peak
+  /// memory is the count tables, one sequence buffer per shard, and the
+  /// deferred chunks of two waves (the one running and the one being
+  /// pulled); a shard drops its chunk's input once it has produced the
+  /// sequences.
+  /// Emits lm.fit.shard_* metrics and, on the calling thread, one
+  /// lm.fit.wave span per wave waited on plus lm.fit.merge and
+  /// lm.fit.freeze.
   Status FitStreaming(const SequenceChunkIterator& next_chunk,
                       size_t num_shards);
 
@@ -126,9 +140,11 @@ class NGramLm : public LanguageModel {
  private:
   /// Freezes merged integer counts into the flat tables: contexts sorted
   /// by (length, ids), CSR successor spans sorted by token, double totals
-  /// and counts. With prior_weight > 0 the prior corpus is counted too and
-  /// each slot gets its serial prior increments first, then the data
-  /// count as unit increments — the historical rounding order.
+  /// and counts. The count trie's zero-count cell (the <bos> edge) is not
+  /// a successor and is left out. With prior_weight > 0 the prior corpus
+  /// is counted too and each slot gets its serial prior increments first,
+  /// then the data count as unit increments — the historical rounding
+  /// order.
   Status Freeze(CountShard counts);
 
   /// Walks the contexts of bos + `context` from the empty one, prepending

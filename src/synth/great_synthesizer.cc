@@ -132,6 +132,7 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
   std::optional<Schema> schema;
   uint64_t total_rows = 0;
   {
+    Span distinct_span("synth.fit.distinct");
     GREATER_ASSIGN_OR_RETURN(TableChunkStream next_chunk, chunks());
     for (;;) {
       GREATER_ASSIGN_OR_RETURN(std::optional<Table> chunk, next_chunk());
@@ -207,28 +208,33 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
     GREATER_RETURN_NOT_OK(lm->SetPriorCorpus(prior_sequences));
   }
 
-  // Pass B: re-open the source and encode chunk by chunk into the model's
-  // sharded counting. One shared rng AND one shared permutation state,
-  // both advanced in chunk order, make the feature-permutation stream
-  // identical to whole-table EncodeTable (the shuffle mutates the order
-  // vector in place across rows, so it must persist across chunks too).
+  // Pass B: re-open the source and hand chunk by chunk to the model's
+  // sharded counting. The caller draws each chunk's feature orders in
+  // chunk order from ONE shared rng and ONE shared permutation state (the
+  // shuffle mutates the order vector in place across rows, so it must
+  // persist across chunks too), which makes the permutation stream
+  // identical to whole-table EncodeTable. The draws never read cell
+  // values, so the encoding itself runs on the shard that counts the
+  // chunk.
   {
     GREATER_ASSIGN_OR_RETURN(TableChunkStream next_chunk, chunks());
-    auto order = std::make_shared<std::vector<size_t>>();
-    NGramLm::SequenceChunkIterator encode_next =
-        [this, &next_chunk, rng,
-         order]() -> Result<std::optional<std::vector<TokenSequence>>> {
+    std::vector<size_t> order;
+    const TextualEncoder* encoder = encoder_.get();
+    NGramLm::SequenceChunkIterator next_deferred =
+        [encoder, &next_chunk, rng,
+         &order]() -> Result<std::optional<NGramLm::DeferredChunk>> {
       GREATER_ASSIGN_OR_RETURN(std::optional<Table> chunk, next_chunk());
-      if (!chunk.has_value()) {
-        return std::optional<std::vector<TokenSequence>>();
-      }
-      GREATER_ASSIGN_OR_RETURN(
-          std::vector<TokenSequence> sequences,
-          encoder_->EncodeTableWithOrderState(*chunk, rng, order.get()));
-      return std::optional<std::vector<TokenSequence>>(std::move(sequences));
+      if (!chunk.has_value()) return std::optional<NGramLm::DeferredChunk>();
+      TextualEncoder::FeatureOrders orders =
+          encoder->DrawFeatureOrders(chunk->num_rows(), rng, &order);
+      return std::optional<NGramLm::DeferredChunk>(
+          [encoder, table = std::move(*chunk),
+           orders = std::move(orders)](std::vector<TokenSequence>* out) {
+            return encoder->EncodeTableWithOrders(table, orders, out);
+          });
     };
     size_t shards = std::max<size_t>(1, options_.num_fit_shards);
-    GREATER_RETURN_NOT_OK(lm->FitStreaming(encode_next, shards));
+    GREATER_RETURN_NOT_OK(lm->FitStreaming(next_deferred, shards));
   }
   lm_ = std::move(lm);
 

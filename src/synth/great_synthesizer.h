@@ -125,10 +125,12 @@ class GreatSynthesizer {
   /// Out-of-core Fit: consumes `chunks` (a restartable typed-chunk source,
   /// e.g. FitStage::ChunkSource over a CSV on disk) in two streaming
   /// passes — first collecting each column's distinct values to build the
-  /// encoder and observed-value pools, then encoding chunk by chunk into
-  /// NGramLm::FitStreaming with options().num_fit_shards accumulators.
-  /// Peak memory is bounded by the chunk size plus the model's count
-  /// tables; the whole table is never materialized. The fitted synthesizer
+  /// encoder and observed-value pools, then handing chunk by chunk to
+  /// NGramLm::FitStreaming with options().num_fit_shards accumulators:
+  /// the calling thread draws each chunk's feature orders in chunk order,
+  /// and the shard that counts the chunk encodes it. Peak memory is
+  /// bounded by the chunk size plus the model's count tables; the whole
+  /// table is never materialized. The fitted synthesizer
   /// is bitwise-identical to Fit on the concatenated chunks (same
   /// encoder, same counts, same samples at a fixed seed), because the
   /// encoder's vocabulary depends only on first-seen distinct values and

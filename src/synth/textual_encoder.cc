@@ -83,48 +83,108 @@ std::string TextualEncoder::RenderSentence(
   return out;
 }
 
+template <typename CellAt>
+void TextualEncoder::TokenizeRow(size_t num_columns, const CellAt& cell,
+                                 RowTokens* out) const {
+  out->tokens.clear();
+  out->bounds.resize(num_columns + 1);
+  for (size_t c = 0; c < num_columns; ++c) {
+    out->bounds[c] = out->tokens.size();
+    word_tokenizer_.ForEachToken(
+        cell(c).ToDisplayString(), [this, out](std::string_view word) {
+          out->tokens.push_back(vocab_.IdOf(word));
+        });
+  }
+  out->bounds[num_columns] = out->tokens.size();
+}
+
+template <typename Index>
+void TextualEncoder::AppendSentence(const Index* order, size_t n,
+                                    const RowTokens& row,
+                                    TokenSequence* out) const {
+  for (size_t k = 0; k < n; ++k) {
+    const size_t c = order[k];
+    if (k > 0) out->push_back(comma_token_);
+    out->push_back(columns_[c].name_token);
+    out->push_back(is_token_);
+    out->insert(out->end(), row.tokens.begin() + row.bounds[c],
+                row.tokens.begin() + row.bounds[c + 1]);
+  }
+}
+
 TokenSequence TextualEncoder::EncodeRow(
     const Row& row, const std::vector<size_t>& order) const {
+  RowTokens cells;
+  TokenizeRow(row.size(), [&row](size_t c) -> const Value& { return row[c]; },
+              &cells);
   TokenSequence out;
-  for (size_t k = 0; k < order.size(); ++k) {
-    size_t c = order[k];
-    if (k > 0) out.push_back(comma_token_);
-    out.push_back(columns_[c].name_token);
-    out.push_back(is_token_);
-    std::string text = row[c].ToDisplayString();
-    for (const auto& word : word_tokenizer_.Tokenize(text)) {
-      out.push_back(vocab_.IdOf(word));
+  AppendSentence(order.data(), order.size(), cells, &out);
+  return out;
+}
+
+TextualEncoder::FeatureOrders TextualEncoder::DrawFeatureOrders(
+    size_t num_rows, Rng* rng, std::vector<size_t>* order) const {
+  const size_t num_columns = schema_.num_fields();
+  if (order->size() != num_columns) {
+    order->resize(num_columns);
+    std::iota(order->begin(), order->end(), 0);
+  }
+  FeatureOrders orders;
+  orders.rows = num_rows;
+  orders.copies = std::max<size_t>(1, options_.permutations_per_row);
+  if (!options_.permute_features) {
+    orders.columns.assign(order->begin(), order->end());
+    return orders;
+  }
+  orders.columns.reserve(num_rows * orders.copies * num_columns);
+  for (size_t i = 0; i < num_rows * orders.copies; ++i) {
+    rng->Shuffle(order);
+    orders.columns.insert(orders.columns.end(), order->begin(), order->end());
+  }
+  return orders;
+}
+
+Status TextualEncoder::EncodeTableWithOrders(
+    const Table& table, const FeatureOrders& orders,
+    std::vector<TokenSequence>* out) const {
+  if (!(table.schema() == schema_)) {
+    return Status::Invalid("EncodeTable: table schema differs from the "
+                           "schema this encoder was built for");
+  }
+  const size_t num_columns = table.num_columns();
+  const size_t sequences = table.num_rows() * orders.copies;
+  const bool shared = orders.columns.size() == num_columns;
+  if (orders.rows != table.num_rows() ||
+      !(shared || orders.columns.size() == sequences * num_columns) ||
+      std::any_of(orders.columns.begin(), orders.columns.end(),
+                  [&](uint32_t c) { return c >= num_columns; })) {
+    return Status::Invalid("EncodeTable: feature orders do not fit the table");
+  }
+  out->resize(sequences);
+  RowTokens cells;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    TokenizeRow(
+        num_columns,
+        [&table, r](size_t c) -> const Value& { return table.at(r, c); },
+        &cells);
+    for (size_t k = 0; k < orders.copies; ++k) {
+      const size_t i = r * orders.copies + k;
+      const uint32_t* order =
+          orders.columns.data() + (shared ? 0 : i * num_columns);
+      TokenSequence& seq = (*out)[i];
+      seq.clear();
+      AppendSentence(order, num_columns, cells, &seq);
     }
   }
-  return out;
+  return Status::OK();
 }
 
 Result<std::vector<TokenSequence>> TextualEncoder::EncodeTable(
     const Table& table, Rng* rng) const {
   std::vector<size_t> order;
-  return EncodeTableWithOrderState(table, rng, &order);
-}
-
-Result<std::vector<TokenSequence>> TextualEncoder::EncodeTableWithOrderState(
-    const Table& table, Rng* rng, std::vector<size_t>* order) const {
-  if (!(table.schema() == schema_)) {
-    return Status::Invalid("EncodeTable: table schema differs from the "
-                           "schema this encoder was built for");
-  }
   std::vector<TokenSequence> out;
-  size_t copies = std::max<size_t>(1, options_.permutations_per_row);
-  out.reserve(table.num_rows() * copies);
-  if (order->size() != table.num_columns()) {
-    order->resize(table.num_columns());
-    std::iota(order->begin(), order->end(), 0);
-  }
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    Row row = table.GetRow(r);
-    for (size_t k = 0; k < copies; ++k) {
-      if (options_.permute_features) rng->Shuffle(order);
-      out.push_back(EncodeRow(row, *order));
-    }
-  }
+  GREATER_RETURN_NOT_OK(EncodeTableWithOrders(
+      table, DrawFeatureOrders(table.num_rows(), rng, &order), &out));
   return out;
 }
 

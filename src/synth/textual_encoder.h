@@ -1,6 +1,7 @@
 #ifndef GREATER_SYNTH_TEXTUAL_ENCODER_H_
 #define GREATER_SYNTH_TEXTUAL_ENCODER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -77,23 +78,49 @@ class TextualEncoder {
   std::string RenderSentence(const Row& row,
                              const std::vector<size_t>& order) const;
 
-  /// Encodes one row in the given column order.
+  /// Encodes one row in the given column order (any list of column
+  /// indices, repeats and omissions allowed).
   TokenSequence EncodeRow(const Row& row,
                           const std::vector<size_t>& order) const;
 
+  /// The feature orders of a run of rows: `copies` encodings per row,
+  /// each a list of the schema's column indices. `columns` holds either
+  /// rows * copies lists, row-major, or a single list that every copy of
+  /// every row uses (the unpermuted case).
+  struct FeatureOrders {
+    size_t rows = 0;
+    size_t copies = 1;
+    std::vector<uint32_t> columns;
+  };
+
+  /// Draws the feature orders of the next `num_rows` rows: for each row,
+  /// options.permutations_per_row shuffles of `order` in place (none when
+  /// permute_features is false). The shuffle mutates `order` across rows,
+  /// so drawing a table chunk by chunk reproduces one whole-table draw
+  /// only when the SAME `order` vector (and rng) persists across the chunk
+  /// calls — the streaming fit path's contract. An `order` of the wrong
+  /// size (e.g. empty) restarts from the identity order. Draws never read
+  /// cell values, so a chunk's orders can be drawn in chunk order on one
+  /// thread and the chunk encoded later on another.
+  FeatureOrders DrawFeatureOrders(size_t num_rows, Rng* rng,
+                                  std::vector<size_t>* order) const;
+
+  /// Encodes `table` against drawn orders into `out`, one sequence per
+  /// (row, copy) in that order. `out` is resized and its sequences keep
+  /// their capacity, so a caller reusing it across chunks stops
+  /// allocating. Each cell is tokenized once per row and every copy is
+  /// assembled from those tokens. Const and lock-free: concurrent calls
+  /// on one encoder are safe.
+  Status EncodeTableWithOrders(const Table& table,
+                               const FeatureOrders& orders,
+                               std::vector<TokenSequence>* out) const;
+
   /// Encodes the whole table, emitting options.permutations_per_row copies
-  /// of each row with independently drawn feature orders.
+  /// of each row with independently drawn feature orders:
+  /// DrawFeatureOrders from the identity order, then
+  /// EncodeTableWithOrders.
   Result<std::vector<TokenSequence>> EncodeTable(const Table& table,
                                                  Rng* rng) const;
-
-  /// EncodeTable with the feature-permutation state threaded explicitly.
-  /// The shuffle mutates `order` in place across rows, so encoding a table
-  /// chunk by chunk is bitwise-identical to one whole-table call only when
-  /// the SAME `order` vector (and rng) persists across the chunk calls —
-  /// the streaming fit path's contract. Pass an empty vector to start from
-  /// the identity order, exactly as EncodeTable does.
-  Result<std::vector<TokenSequence>> EncodeTableWithOrderState(
-      const Table& table, Rng* rng, std::vector<size_t>* order) const;
 
   /// Tokenizes an arbitrary text line against this vocabulary (for prior
   /// corpora; unknown words become <unk>).
@@ -137,6 +164,23 @@ class TextualEncoder {
   Status Load(const std::string& path);
 
  private:
+  /// The value tokens of one row's cells: cell c is
+  /// tokens[bounds[c] .. bounds[c + 1]).
+  struct RowTokens {
+    TokenSequence tokens;
+    std::vector<size_t> bounds;
+  };
+
+  /// Tokenizes cell(0) .. cell(num_columns - 1) into `out`.
+  template <typename CellAt>
+  void TokenizeRow(size_t num_columns, const CellAt& cell,
+                   RowTokens* out) const;
+
+  /// Appends the sentence of `row` in column order order[0 .. n) to `out`.
+  template <typename Index>
+  void AppendSentence(const Index* order, size_t n, const RowTokens& row,
+                      TokenSequence* out) const;
+
   Options options_;
   Schema schema_;
   Vocabulary vocab_;

@@ -30,7 +30,7 @@ TokenId Vocabulary::AddToken(const std::string& token) {
   return id;
 }
 
-TokenId Vocabulary::IdOf(const std::string& token) const {
+TokenId Vocabulary::IdOf(std::string_view token) const {
   auto it = index_.find(token);
   return it == index_.end() ? kUnkId : it->second;
 }

@@ -2,7 +2,9 @@
 #define GREATER_TEXT_VOCABULARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,8 +41,9 @@ class Vocabulary {
   /// Adds `token` if absent; returns its id either way.
   TokenId AddToken(const std::string& token);
 
-  /// Id of `token`, or kUnkId when unknown.
-  TokenId IdOf(const std::string& token) const;
+  /// Id of `token`, or kUnkId when unknown. Takes a view, so a token cut
+  /// out of a longer string needs no copy.
+  TokenId IdOf(std::string_view token) const;
 
   /// True if `token` has been added.
   bool Contains(const std::string& token) const;
@@ -67,8 +70,16 @@ class Vocabulary {
   Status Load(const std::string& path);
 
  private:
+  // Transparent, so lookups by std::string_view build no std::string.
+  struct TokenHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view token) const {
+      return std::hash<std::string_view>()(token);
+    }
+  };
+
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, TokenId> index_;
+  std::unordered_map<std::string, TokenId, TokenHash, std::equal_to<>> index_;
 };
 
 }  // namespace greater

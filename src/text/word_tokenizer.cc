@@ -7,13 +7,8 @@
 namespace greater {
 namespace {
 
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '\'' ||
-         c == '^' || c == '-' || c == '.';
-}
-
 bool IsPunct(const std::string& token) {
-  return token.size() == 1 && !IsWordChar(token[0]) &&
+  return token.size() == 1 && !WordTokenizer::IsWordChar(token[0]) &&
          !std::isspace(static_cast<unsigned char>(token[0]));
 }
 
@@ -22,22 +17,9 @@ bool IsPunct(const std::string& token) {
 std::vector<std::string> WordTokenizer::Tokenize(
     const std::string& text) const {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (IsWordChar(c)) {
-      size_t start = i;
-      while (i < text.size() && IsWordChar(text[i])) ++i;
-      out.push_back(text.substr(start, i - start));
-    } else {
-      out.push_back(std::string(1, c));
-      ++i;
-    }
-  }
+  ForEachToken(text, [&out](std::string_view token) {
+    out.emplace_back(token);
+  });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef GREATER_TEXT_WORD_TOKENIZER_H_
 #define GREATER_TEXT_WORD_TOKENIZER_H_
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,26 @@ class WordTokenizer {
   /// Tokenizes one string.
   std::vector<std::string> Tokenize(const std::string& text) const;
 
+  /// Calls `emit(std::string_view)` for each token of `text`, in order,
+  /// without building the token strings.
+  template <typename Emit>
+  void ForEachToken(std::string_view text, Emit&& emit) const {
+    size_t i = 0;
+    while (i < text.size()) {
+      const char c = text[i];
+      if (std::isspace(static_cast<unsigned char>(c))) {
+        ++i;
+      } else if (IsWordChar(c)) {
+        const size_t start = i;
+        while (i < text.size() && IsWordChar(text[i])) ++i;
+        emit(text.substr(start, i - start));
+      } else {
+        emit(text.substr(i, 1));
+        ++i;
+      }
+    }
+  }
+
   /// Inverse of Tokenize up to whitespace normalization: joins tokens with
   /// single spaces but attaches punctuation to the preceding token
   /// ("2 ," -> "2,").
@@ -34,6 +55,12 @@ class WordTokenizer {
   Status DeserializeBinary(std::string_view bytes);
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
+
+  /// Characters that extend a word token.
+  static bool IsWordChar(char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+           c == '\'' || c == '^' || c == '-' || c == '.';
+  }
 };
 
 }  // namespace greater

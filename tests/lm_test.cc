@@ -4,12 +4,15 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/artifact_io.h"
+#include "common/rng.h"
+#include "lm/count_shard.h"
 #include "lm/neural_lm.h"
 #include "lm/ngram_lm.h"
 #include "text/vocabulary.h"
@@ -518,6 +521,125 @@ TEST(NGramLmTest, HugeVocabArtifactFailsWithDataLoss) {
   Status status =
       lm.DeserializeBinary(CraftNGramArtifact(uint64_t{1} << 40, {{}, {}}));
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+}
+
+// ---------- CountShard ----------
+
+// Brute-force n-gram counts of [bos, ...seq, eos]: every (context,
+// target) pair at every context length 0 .. order-1 (contexts oldest
+// token first), and every context's total.
+struct BruteCounts {
+  std::map<std::pair<TokenSequence, TokenId>, uint64_t> cells;
+  std::map<TokenSequence, uint64_t> totals;
+
+  BruteCounts(const std::vector<TokenSequence>& sequences, size_t order) {
+    for (const TokenSequence& seq : sequences) {
+      TokenSequence padded = {Vocabulary::kBosId};
+      padded.insert(padded.end(), seq.begin(), seq.end());
+      padded.push_back(Vocabulary::kEosId);
+      for (size_t pos = 1; pos < padded.size(); ++pos) {
+        for (size_t k = 0; k <= std::min(pos, order - 1); ++k) {
+          TokenSequence context(padded.begin() + (pos - k),
+                                padded.begin() + pos);
+          ++cells[{context, padded[pos]}];
+          ++totals[context];
+        }
+      }
+    }
+  }
+};
+
+// Checks a finished shard against the brute force: the same contexts, the
+// same counted cells, equal counts and totals, and no cell with count 0
+// but the <bos> edge.
+void ExpectShardMatches(const CountShard& shard, const BruteCounts& brute,
+                        const std::string& where) {
+  EXPECT_EQ(shard.num_nodes(), brute.totals.size()) << where;
+  auto node_of = [&shard](const TokenSequence& context) -> int64_t {
+    int64_t node = 0;
+    for (TokenId token : context) {
+      node = shard.FindChild(static_cast<uint32_t>(node), token);
+      if (node < 0) return -1;
+    }
+    return node;
+  };
+  for (const auto& [context, total] : brute.totals) {
+    const int64_t node = node_of(context);
+    ASSERT_GE(node, 0) << where << ": a context of length "
+                       << context.size() << " is missing";
+    EXPECT_EQ(shard.totals()[static_cast<size_t>(node)], total) << where;
+  }
+  for (const auto& [cell, count] : brute.cells) {
+    const int64_t node = node_of(cell.first);
+    ASSERT_GE(node, 0) << where;
+    EXPECT_EQ(shard.SuccessorCount(static_cast<uint32_t>(node), cell.second),
+              count)
+        << where << ": context length " << cell.first.size() << " target "
+        << cell.second;
+  }
+  size_t counted = 0;
+  for (const auto& slot : shard.cells().slots()) {
+    if (slot.key == CountShard::CellTable::kEmpty) continue;
+    if (slot.value.count > 0) {
+      ++counted;
+    } else {
+      EXPECT_EQ(slot.key, CountShard::CellTable::Pack(0, Vocabulary::kBosId))
+          << where << ": a zero-count cell besides the <bos> edge";
+    }
+  }
+  EXPECT_EQ(counted, brute.cells.size()) << where;
+}
+
+TEST(CountShardTest, CountsMatchBruteForceAndMergeInAnySplit) {
+  constexpr TokenId kVocab = 9;
+  Rng rng(4077);
+  std::vector<TokenSequence> corpus = {{}, {kVocab - 1}, {4}, {}};
+  for (size_t i = 0; i < 60; ++i) {
+    // Lengths 0 .. 13: empty, one token, and longer than order 8. Ids span
+    // the whole vocabulary, specials included, so a mid-sequence <bos> or
+    // <eos> is an ordinary token.
+    TokenSequence seq(static_cast<size_t>(rng.UniformInt(0, 13)));
+    for (TokenId& id : seq) {
+      id = static_cast<TokenId>(rng.UniformInt(0, kVocab - 1));
+    }
+    corpus.push_back(std::move(seq));
+  }
+  corpus.push_back(TokenSequence(20, kVocab - 1));  // one repeated token
+
+  for (size_t order = 2; order <= kNGramMaxOrder; ++order) {
+    const BruteCounts brute(corpus, order);
+    CountShard one(order);
+    ASSERT_TRUE(one.AccumulateChunk(corpus, kVocab).ok());
+    EXPECT_EQ(one.sequences(), corpus.size());
+    one.FinishCounts();
+    ExpectShardMatches(one, brute, "order " + std::to_string(order));
+
+    // Any split into k shards, folded in index order, counts the same.
+    for (size_t k : {2u, 3u, 5u}) {
+      std::vector<std::vector<TokenSequence>> parts(k);
+      for (const TokenSequence& seq : corpus) {
+        parts[rng.Index(k)].push_back(seq);
+      }
+      std::vector<CountShard> shards;
+      for (size_t s = 0; s < k; ++s) {
+        shards.emplace_back(order);
+        ASSERT_TRUE(shards[s].AccumulateChunk(parts[s], kVocab).ok());
+      }
+      for (size_t s = 1; s < k; ++s) shards[0].Merge(std::move(shards[s]));
+      EXPECT_EQ(shards[0].sequences(), corpus.size());
+      shards[0].FinishCounts();
+      ExpectShardMatches(shards[0], brute,
+                         "order " + std::to_string(order) + " split " +
+                             std::to_string(k));
+    }
+  }
+
+  // Validation runs before counting: a bad id leaves the shard untouched.
+  CountShard shard(5);
+  EXPECT_EQ(shard.AccumulateChunk({{4, 5}, {kVocab}}, kVocab).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(shard.sequences(), 0u);
+  EXPECT_EQ(shard.num_nodes(), 1u);
 }
 
 // ---------- NeuralLm ----------

@@ -192,6 +192,108 @@ TEST_F(OocoreTest, FitStreamingMatchesSerialFitBitwiseAtEveryShardCount) {
       0u);
 }
 
+// Null cells, multi-word values and non-ASCII text (the word tokenizer
+// splits UTF-8 bytes into one-byte tokens), so a row's value tokens vary
+// in number from cell to cell.
+Table EdgeTable(size_t rows) {
+  Schema schema({Field("city", ValueType::kString),
+                 Field("visits", ValueType::kInt),
+                 Field("note", ValueType::kString)});
+  Table t(schema);
+  const char* cities[] = {"New York", "S\xC3\xA3o Paulo", "Z\xC3\xBCrich",
+                          "Oslo"};
+  const char* notes[] = {"very good indeed", "ok", "\xE2\x9C\x93 done"};
+  Rng rng(53);
+  for (size_t i = 0; i < rows; ++i) {
+    Value city =
+        rng.Index(6) == 0 ? Value::Null() : Value(cities[rng.Index(4)]);
+    Value visits =
+        rng.Index(5) == 0 ? Value::Null() : Value(rng.UniformInt(0, 12));
+    Value note =
+        rng.Index(4) == 0 ? Value::Null() : Value(notes[rng.Index(3)]);
+    EXPECT_TRUE(t.AppendRow({city, visits, note}).ok());
+  }
+  return t;
+}
+
+TEST_F(OocoreTest, FitStreamingMatchesFitAtOrderAndPermutationEdges) {
+  Table train = EdgeTable(41);
+  for (size_t order : {2u, 8u}) {
+    for (size_t copies : {1u, 3u}) {
+      for (bool permute : {true, false}) {
+        const std::string where = "order=" + std::to_string(order) +
+                                  " copies=" + std::to_string(copies) +
+                                  " permute=" + std::to_string(permute);
+        GreatSynthesizer::Options options;
+        options.ngram.order = order;
+        options.encoder.permutations_per_row = copies;
+        options.encoder.permute_features = permute;
+
+        // Encoding each cell once per row gives the sequences of a plain
+        // per-copy EncodeRow loop, whole-table and chunk by chunk.
+        Result<TextualEncoder> encoder =
+            TextualEncoder::Build(train, options.encoder);
+        ASSERT_TRUE(encoder.ok()) << encoder.status();
+        std::vector<TokenSequence> expected;
+        {
+          Rng rng(17);
+          std::vector<size_t> order_state = {0, 1, 2};
+          for (size_t r = 0; r < train.num_rows(); ++r) {
+            for (size_t k = 0; k < copies; ++k) {
+              if (permute) rng.Shuffle(&order_state);
+              expected.push_back(
+                  encoder->EncodeRow(train.GetRow(r), order_state));
+            }
+          }
+        }
+        Rng whole_rng(17);
+        Result<std::vector<TokenSequence>> whole =
+            encoder->EncodeTable(train, &whole_rng);
+        ASSERT_TRUE(whole.ok()) << whole.status();
+        EXPECT_EQ(*whole, expected) << where;
+        std::vector<TokenSequence> chunked;
+        {
+          Rng rng(17);
+          std::vector<size_t> order_state;
+          std::vector<TokenSequence> buffer;
+          Result<TableChunkStream> stream = ChunkedSource(train, 6)();
+          ASSERT_TRUE(stream.ok());
+          for (;;) {
+            Result<std::optional<Table>> chunk = (*stream)();
+            ASSERT_TRUE(chunk.ok());
+            if (!chunk->has_value()) break;
+            TextualEncoder::FeatureOrders orders = encoder->DrawFeatureOrders(
+                (*chunk)->num_rows(), &rng, &order_state);
+            ASSERT_TRUE(
+                encoder->EncodeTableWithOrders(**chunk, orders, &buffer).ok());
+            chunked.insert(chunked.end(), buffer.begin(), buffer.end());
+          }
+        }
+        EXPECT_EQ(chunked, expected) << where;
+
+        GreatSynthesizer serial(options);
+        Rng serial_rng(17);
+        ASSERT_TRUE(serial.Fit(train, &serial_rng).ok()) << where;
+        Result<std::string> serial_bytes = serial.SerializeBinary();
+        ASSERT_TRUE(serial_bytes.ok());
+        for (size_t shards : {1u, 2u, 8u}) {
+          GreatSynthesizer::Options streamed_options = options;
+          streamed_options.num_fit_shards = shards;
+          GreatSynthesizer streamed(streamed_options);
+          Rng streamed_rng(17);
+          Status fit =
+              streamed.FitStreaming(ChunkedSource(train, 5), &streamed_rng);
+          ASSERT_TRUE(fit.ok()) << fit << " " << where;
+          Result<std::string> streamed_bytes = streamed.SerializeBinary();
+          ASSERT_TRUE(streamed_bytes.ok());
+          EXPECT_EQ(*streamed_bytes, *serial_bytes)
+              << where << " shards=" << shards;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(OocoreTest, FitStreamingErrorsAreTyped) {
   Table train = TrainTable(20);
   Rng rng(1);

@@ -297,26 +297,36 @@ TEST(SynthesisServerTest, CrossRequestPackingAndMetrics) {
   ServeOptions options;
   options.num_workers = 1;
   options.max_lanes_per_batch = 16;
+  // Background work is held in its queue until Shutdown (weight 0), so
+  // every request below is queued before the worker packs its first
+  // bundle, however the threads are scheduled.
+  options.priority_weights = {1, 1, 0};
   SynthesisServer server(options);
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
 
   // One big request keeps the single worker busy across several bundles
   // while the small ones are admitted behind it — the packing sweep then
-  // has multiple open requests to fill bundles from.
+  // has multiple open requests to fill bundles from: the big request's
+  // last 12 lanes share a bundle with the small ones.
+  auto background = [](SampleRequest request) {
+    request.priority = RequestPriority::kBackground;
+    return request;
+  };
   std::vector<std::shared_ptr<RequestTicket>> tickets;
-  tickets.push_back(server.Submit({set.names[0], 60, 5}));
+  tickets.push_back(server.Submit(background({set.names[0], 60, 5})));
   size_t expected_rows = 60;
   for (uint64_t i = 0; i < 12; ++i) {
-    tickets.push_back(server.Submit({set.names[0], 3, 100 + i}));
+    tickets.push_back(server.Submit(background({set.names[0], 3, 100 + i})));
     expected_rows += 3;
   }
+  for (auto& ticket : tickets) EXPECT_FALSE(ticket->done());
+  ASSERT_TRUE(server.Shutdown().ok());
   for (auto& ticket : tickets) {
     ASSERT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
     EXPECT_TRUE(ticket->report().Reconciles());
     EXPECT_GT(ticket->latency_us(), 0u);
   }
-  ASSERT_TRUE(server.Shutdown().ok());
 
   EXPECT_GT(batches.Value() - batches_before, 1u);
   EXPECT_GE(cross.Value() - cross_before, 1u);
