@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -16,21 +17,33 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'R', 'T', 'R', 'A', 'R', 'T', '1'};
 
-/// CRC-32 lookup table for the reflected IEEE 802.3 polynomial,
-/// generated once on first use.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+/// Slice-by-8 CRC-32 tables for the reflected IEEE 802.3 polynomial.
+/// kCrcTables[0] is the classic bytewise table; kCrcTables[k][b] is the CRC
+/// of byte b followed by k zero bytes, so eight lookups advance the CRC over
+/// eight input bytes at once.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables =
+    MakeCrcTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 std::string DirName(const std::string& path) {
@@ -47,24 +60,35 @@ Status Errno(const std::string& op, const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t c = seed ^ 0xffffffffu;
-  for (unsigned char byte : data) {
-    c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
 void ByteWriter::PutU32(uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void ByteWriter::PutU64(uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void ByteWriter::PutF64(double v) {
@@ -170,7 +194,14 @@ Status ByteReader::ExpectEnd() const {
 }
 
 std::string ArtifactWriter::Finish() const {
+  // Exact size: magic, format version, kind, artifact version, chunk
+  // count, then per chunk its name, length, payload and CRC.
+  size_t size = sizeof(kMagic) + 4 + (4 + kind_.size()) + 4 + 4;
+  for (const auto& [name, payload] : chunks_) {
+    size += (4 + name.size()) + 8 + payload.size() + 4;
+  }
   ByteWriter w;
+  w.Reserve(size);
   w.PutRaw(std::string_view(kMagic, sizeof(kMagic)));
   w.PutU32(kArtifactFormatVersion);
   w.PutString(kind_);

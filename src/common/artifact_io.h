@@ -36,7 +36,8 @@ namespace greater {
 /// kFailedPrecondition. Components embed their children as chunk payloads
 /// holding full nested documents, so one parser covers files and blobs.
 
-/// CRC-32 (IEEE 802.3 polynomial, table-driven). `seed` chains calls:
+/// CRC-32 (IEEE 802.3 polynomial, slice-by-8: eight bytes per step through
+/// eight 256-entry tables, bytewise for the tail). `seed` chains calls:
 /// Crc32(b, Crc32(a)) == Crc32(a + b).
 uint32_t Crc32(std::string_view data, uint32_t seed = 0);
 
@@ -46,6 +47,9 @@ inline constexpr uint32_t kArtifactFormatVersion = 1;
 /// Little-endian append-only byte sink for chunk payloads.
 class ByteWriter {
  public:
+  /// Pre-sizes the buffer for a payload whose length the caller knows.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   void PutU32(uint32_t v);

@@ -21,6 +21,9 @@ namespace greater {
 class CheckpointChain {
  public:
   CheckpointChain();
+  /// Resumes a chain at a value another chain reached: Mix calls from
+  /// here key exactly as they would have continued on that chain.
+  explicit CheckpointChain(uint64_t value) : value_(value) {}
 
   void Mix(std::string_view bytes);
   uint64_t value() const { return value_; }

@@ -1,13 +1,25 @@
 #ifndef GREATER_COMMON_STRINGS_H_
 #define GREATER_COMMON_STRINGS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace greater {
+
+/// Hashes std::string and std::string_view alike. With std::equal_to<> it
+/// makes an unordered container of strings probe-able by view, without
+/// building a key.
+struct TransparentStringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>()(s);
+  }
+};
 
 /// Splits `text` on `delim`, keeping empty fields ("a,,b" -> {"a","","b"}).
 std::vector<std::string> Split(std::string_view text, char delim);

@@ -450,8 +450,19 @@ void NGramLm::PublishGauges() const {
 }
 
 std::string NGramLm::SerializeBinary() const {
-  // The frozen tables are already in canonical order: a linear dump.
+  // The frozen tables are already in canonical order: a linear dump, into
+  // a buffer sized exactly up front. The 29-byte header, then per level an
+  // entry count; per context its length, ids, total and successor count;
+  // 12 bytes per successor.
+  size_t size = 29;
+  for (size_t k = 0; k < options_.order; ++k) {
+    const uint64_t begin = level_begin_[k];
+    const uint64_t end = level_begin_[k + 1];
+    size += 8 + (end - begin) * (16 + 4 * k) +
+            12 * (succ_begin_[end] - succ_begin_[begin]);
+  }
   ByteWriter w;
+  w.Reserve(size);
   w.PutU64(vocab_size_);
   w.PutU64(options_.order);
   w.PutF64(options_.prior_weight);

@@ -100,13 +100,15 @@ Result<SampleReport> SampleRowsToCsvStreaming(
   // The chain covers everything that determines a chunk's bytes: the
   // trained model, the draw seed, and every emission option. Any change
   // flips every chunk key, so stale checkpoints can never replay. The
-  // worker count only decides where chunks decode, so it stays out.
+  // worker count only decides where chunks decode, so it stays out. The
+  // model's part resumes from its memoized fingerprint, which is exactly
+  // the chain after mixing its serialized bytes.
   CheckpointStore ckpt = ChunkCheckpointStore(options.checkpoint_dir);
   CheckpointChain chain;
   if (ckpt.enabled()) {
-    GREATER_ASSIGN_OR_RETURN(std::string model_bytes,
-                             model.SerializeBinary());
-    chain.Mix(model_bytes);
+    GREATER_ASSIGN_OR_RETURN(const uint64_t model_fingerprint,
+                             model.ContentFingerprint());
+    chain = CheckpointChain(model_fingerprint);
     ByteWriter fp;
     fp.PutU64(n);
     fp.PutU64(seed);

@@ -1,11 +1,16 @@
 #include "synth/great_synthesizer.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
+#include "common/strings.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "synth/batch_decode.h"
 #include "tabular/table_builder.h"
@@ -19,6 +24,14 @@ namespace {
 void InsertSorted(std::vector<TokenId>* ids, TokenId id) {
   auto pos = std::lower_bound(ids->begin(), ids->end(), id);
   if (pos == ids->end() || *pos != id) ids->insert(pos, id);
+}
+
+// `value`'s display string as a view: a string cell's own bytes, or any
+// other value's display string built into `scratch`.
+std::string_view DisplayView(const Value& value, std::string* scratch) {
+  if (value.is_string()) return value.as_string();
+  *scratch = value.ToDisplayString();
+  return *scratch;
 }
 
 }  // namespace
@@ -123,11 +136,18 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
 
   // Pass A: one streaming scan collecting each column's distinct values in
   // first-seen order (deduplicated on display string, exactly how both the
-  // encoder's vocabulary and the observed-value pools key values).
+  // encoder's vocabulary and the observed-value pools key values). Cells
+  // probe by view, int cells by value first; a display string is copied
+  // only on first sight.
   struct DistinctColumn {
     std::vector<Value> values;  // first occurrence of each display string
-    std::unordered_set<std::string> seen;
+    std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
+        seen;
+    // Int cells whose display string is already in `seen`: an int probe
+    // is cheaper than formatting and hashing its display string.
+    std::unordered_set<int64_t> seen_ints;
   };
+  std::string display_scratch;
   std::vector<DistinctColumn> distinct;
   std::optional<Schema> schema;
   uint64_t total_rows = 0;
@@ -148,9 +168,15 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
         DistinctColumn& column = distinct[c];
         for (size_t r = 0; r < chunk->num_rows(); ++r) {
           const Value& value = chunk->at(r, c);
-          auto [it, inserted] = column.seen.insert(value.ToDisplayString());
-          (void)it;
-          if (inserted) column.values.push_back(value);
+          if (value.is_int() &&
+              !column.seen_ints.insert(value.as_int()).second) {
+            continue;
+          }
+          const std::string_view display =
+              DisplayView(value, &display_scratch);
+          if (column.seen.find(display) != column.seen.end()) continue;
+          column.seen.emplace(display);
+          column.values.push_back(value);
         }
       }
       total_rows += chunk->num_rows();
@@ -640,7 +666,23 @@ Result<std::string> GreatSynthesizer::SerializeBinary() const {
     }
     doc.AddChunk("observed", std::move(w).Take());
   }
-  return doc.Finish();
+  static Counter& serializations =
+      MetricsRegistry::Global().GetCounter("synth.serializations");
+  serializations.Increment();
+  std::string bytes = doc.Finish();
+  if (fingerprint_.Get() == 0) {
+    CheckpointChain chain;
+    chain.Mix(bytes);
+    fingerprint_.Set(chain.value());
+  }
+  return bytes;
+}
+
+Result<uint64_t> GreatSynthesizer::ContentFingerprint() const {
+  if (const uint64_t memo = fingerprint_.Get(); memo != 0) return memo;
+  GREATER_RETURN_NOT_OK(SerializeBinary().status());
+  // SerializeBinary filled the memo; it reads 0 only if 0 is the value.
+  return fingerprint_.Get();
 }
 
 Status GreatSynthesizer::DeserializeBinary(std::string_view bytes) {
@@ -728,13 +770,14 @@ Status GreatSynthesizer::DeserializeBinary(std::string_view bytes) {
     GREATER_RETURN_NOT_OK(r.ExpectEnd());
   }
 
-  options_ = std::move(options);
-  encoder_ = std::move(encoder);
-  lm_ = std::move(lm);
-  observed_values_ = std::move(observed);
-  BuildGrammars();
-  serial_ws_ = SamplerWorkspace();
-  stats_ = SampleReport();
+  // A fresh object, move-assigned over this one: the sampling workspace,
+  // stats and fingerprint memo all start over with the new model.
+  GreatSynthesizer loaded(options);
+  loaded.encoder_ = std::move(encoder);
+  loaded.lm_ = std::move(lm);
+  loaded.observed_values_ = std::move(observed);
+  loaded.BuildGrammars();
+  *this = std::move(loaded);
   return Status::OK();
 }
 

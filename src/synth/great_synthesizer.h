@@ -2,6 +2,7 @@
 #define GREATER_SYNTH_GREAT_SYNTHESIZER_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -212,10 +213,24 @@ class GreatSynthesizer {
   /// Save -> Load -> Sample(seed) is bitwise-identical to Sample(seed) on
   /// the in-memory instance, for both backbones (grammars and allow-list
   /// ids are rebuilt in Fit order; observed pools are stored sorted).
+  ///
+  /// Each call counts into the `synth.serializations` counter, and the
+  /// first one on a fitted model also fills the content-fingerprint memo
+  /// (see ContentFingerprint). DeserializeBinary and Load build a fresh
+  /// object and move-assign it over this one, so the memo resets with
+  /// every other piece of state.
   Result<std::string> SerializeBinary() const;
   Status DeserializeBinary(std::string_view bytes);
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
+
+  /// The model's content fingerprint: the value of a fresh CheckpointChain
+  /// after mixing this model's SerializeBinary() bytes. Emission keys its
+  /// chunk checkpoints by resuming a chain from it. Memoized: only a call
+  /// that finds the memo empty serializes, so a durable run that has
+  /// already serialized its model for the stage checkpoint never
+  /// serializes it again. Requires fitted().
+  Result<uint64_t> ContentFingerprint() const;
 
   /// Binary codec for Options, shared by the synthesizer bundle and the
   /// pipeline checkpoint fingerprint (two configurations hash equal iff
@@ -296,6 +311,30 @@ class GreatSynthesizer {
   /// saved one's.
   void BuildGrammars();
 
+  /// 8-byte memo of ContentFingerprint, 0 while unknown (a fingerprint
+  /// that happens to be 0 is simply never memoized). Written at most once
+  /// per model content through an atomic, so concurrent const calls do
+  /// not race; every writer stores the same value. Moving resets both
+  /// sides, which covers every path that replaces the model
+  /// (DeserializeBinary, Load, move-assignment) and leaves a moved-from
+  /// object free to be fitted afresh.
+  class FingerprintMemo {
+   public:
+    FingerprintMemo() = default;
+    FingerprintMemo(FingerprintMemo&& other) noexcept { other.Reset(); }
+    FingerprintMemo& operator=(FingerprintMemo&& other) noexcept {
+      Reset();
+      other.Reset();
+      return *this;
+    }
+    uint64_t Get() const { return value_.load(std::memory_order_relaxed); }
+    void Set(uint64_t v) const { value_.store(v, std::memory_order_relaxed); }
+
+   private:
+    void Reset() { value_.store(0, std::memory_order_relaxed); }
+    mutable std::atomic<uint64_t> value_{0};
+  };
+
   Options options_;
   std::unique_ptr<TextualEncoder> encoder_;
   std::unique_ptr<LanguageModel> lm_;
@@ -316,6 +355,7 @@ class GreatSynthesizer {
   /// member makes concurrent Sample* calls on one synthesizer unsupported.
   mutable SamplerWorkspace serial_ws_;
   mutable SampleReport stats_;
+  FingerprintMemo fingerprint_;
 };
 
 }  // namespace greater

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 
 namespace greater {
 
@@ -70,16 +71,11 @@ class Vocabulary {
   Status Load(const std::string& path);
 
  private:
-  // Transparent, so lookups by std::string_view build no std::string.
-  struct TokenHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view token) const {
-      return std::hash<std::string_view>()(token);
-    }
-  };
-
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, TokenId, TokenHash, std::equal_to<>> index_;
+  // Transparent, so lookups by std::string_view build no std::string.
+  std::unordered_map<std::string, TokenId, TransparentStringHash,
+                     std::equal_to<>>
+      index_;
 };
 
 }  // namespace greater

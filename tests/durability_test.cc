@@ -198,11 +198,49 @@ TEST(ArtifactTest, TrailingGarbageIsDataLoss) {
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 
+// Bitwise reference CRC-32 (reflected IEEE polynomial, no tables).
+uint32_t BitwiseCrc32(std::string_view data, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (unsigned char byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
 TEST(ArtifactTest, Crc32MatchesKnownVector) {
   // The IEEE 802.3 check value for "123456789".
   EXPECT_EQ(Crc32("123456789"), 0xcbf43926u);
   // Chaining property used by incremental writers.
   EXPECT_EQ(Crc32("6789", Crc32("12345")), Crc32("123456789"));
+
+  // A seeded 1 KiB buffer.
+  Rng rng(4242);
+  std::string buffer(1024, '\0');
+  for (char& byte : buffer) byte = static_cast<char>(rng.UniformInt(0, 255));
+  const std::string_view view(buffer);
+
+  // Every length 0..64 at every start offset 0..7 (so the eight-byte
+  // steps start misaligned and the tail loop sees every remainder), with
+  // a zero and a nonzero seed.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data = view.substr(offset, length);
+      for (uint32_t seed : {0u, 0x9e3779b9u}) {
+        EXPECT_EQ(Crc32(data, seed), BitwiseCrc32(data, seed))
+            << "offset " << offset << " length " << length << " seed "
+            << seed;
+      }
+    }
+  }
+
+  // Crc32(b, Crc32(a)) == Crc32(a + b) at every split of the buffer.
+  const uint32_t whole = Crc32(view);
+  EXPECT_EQ(whole, BitwiseCrc32(view, 0));
+  for (size_t split = 0; split <= view.size(); ++split) {
+    EXPECT_EQ(Crc32(view.substr(split), Crc32(view.substr(0, split))), whole)
+        << "split " << split;
+  }
 }
 
 // ---------- atomic writes under injected faults ----------

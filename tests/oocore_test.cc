@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -627,6 +628,133 @@ TEST_F(OocoreTest, UndecodableEmissionChunkIsACorruptMiss) {
             metrics.GetCounter("stream.emit.checkpoint_hits").Value() -
                 replayed);
   EXPECT_EQ(corrupt_delta, 4u);
+}
+
+// ---------- the content-fingerprint memo keys emission ------------------
+
+// Sorted file names under `dir`.
+std::vector<std::string> FileNames(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_F(OocoreTest, FingerprintMemoKeysEmissionLikeAFreshSerialization) {
+  // Emission resumes its key chain from the model's memoized fingerprint.
+  // Whether the memo was empty, filled by an earlier serialization, or
+  // dropped because a load replaced the model it described, the chunk
+  // files and the output bytes must be the same.
+  Table train = TrainTable(60);
+  Counter& serializations =
+      MetricsRegistry::Global().GetCounter("synth.serializations");
+  fs::path dir = ScratchDir("oocore_fingerprint_memo");
+  SampleEmitOptions emit;
+  emit.chunk_rows = 8;
+  struct Emitted {
+    std::vector<std::string> files;
+    std::string bytes;
+    uint64_t serializations = 0;
+  };
+  auto emit_from = [&](const GreatSynthesizer& model, const std::string& tag) {
+    emit.checkpoint_dir = (dir / ("ckpt_" + tag)).string();
+    const fs::path out = dir / (tag + ".csv");
+    const uint64_t before = serializations.Value();
+    Result<SampleReport> report =
+        SampleRowsToCsvStreaming(model, 30, 7, out.string(), emit);
+    EXPECT_TRUE(report.ok()) << tag << ": " << report.status();
+    Emitted emitted;
+    emitted.serializations = serializations.Value() - before;
+    emitted.files = FileNames(emit.checkpoint_dir);
+    emitted.bytes = Slurp(out);
+    return emitted;
+  };
+
+  // Never serialized: the emitter serializes once to fill the memo, and a
+  // second emission from the same model reads the memo.
+  GreatSynthesizer fresh{GreatSynthesizer::Options()};
+  Rng fit_rng(17);
+  ASSERT_TRUE(fresh.Fit(train, &fit_rng).ok());
+  const Emitted reference = emit_from(fresh, "fresh");
+  EXPECT_EQ(reference.serializations, 1u);
+  EXPECT_EQ(reference.files.size(), 4u);
+  EXPECT_EQ(emit_from(fresh, "fresh_again").serializations, 0u);
+
+  // Serialized before emitting: the memo is the chain over those bytes,
+  // and emission does not serialize again.
+  GreatSynthesizer serialized{GreatSynthesizer::Options()};
+  Rng fit_rng2(17);
+  ASSERT_TRUE(serialized.Fit(train, &fit_rng2).ok());
+  Result<std::string> bytes = serialized.SerializeBinary();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  CheckpointChain chain;
+  chain.Mix(*bytes);
+  Result<uint64_t> fingerprint = serialized.ContentFingerprint();
+  ASSERT_TRUE(fingerprint.ok()) << fingerprint.status();
+  EXPECT_EQ(*fingerprint, chain.value());
+  const Emitted memoized = emit_from(serialized, "serialized");
+  EXPECT_EQ(memoized.serializations, 0u);
+  EXPECT_EQ(memoized.files, reference.files);
+  EXPECT_EQ(memoized.bytes, reference.bytes);
+
+  // Loaded over a model whose memo describes other content: the load
+  // drops that memo, so the keys are those of the loaded model. Each
+  // target fills its memo right before it is overwritten.
+  auto other_model = [&] {
+    GreatSynthesizer::Options options;
+    options.ngram.order = 2;
+    GreatSynthesizer other(options);
+    Rng other_rng(99);
+    EXPECT_TRUE(other.Fit(TrainTable(40), &other_rng).ok());
+    return other;
+  };
+  GreatSynthesizer loaded = other_model();
+  ASSERT_NE(*loaded.ContentFingerprint(), *fingerprint);
+  ASSERT_TRUE(loaded.DeserializeBinary(*bytes).ok());
+  const Emitted reloaded = emit_from(loaded, "loaded");
+  EXPECT_EQ(reloaded.serializations, 1u);
+  EXPECT_EQ(reloaded.files, reference.files);
+  EXPECT_EQ(reloaded.bytes, reference.bytes);
+
+  // The same through Load from a file, and through a plain move-assign of
+  // a freshly loaded model over a memoized one.
+  const fs::path model_path = dir / "model.bin";
+  ASSERT_TRUE(serialized.Save(model_path.string()).ok());
+  GreatSynthesizer file_loaded = other_model();
+  ASSERT_NE(*file_loaded.ContentFingerprint(), *fingerprint);
+  ASSERT_TRUE(file_loaded.Load(model_path.string()).ok());
+  EXPECT_EQ(emit_from(file_loaded, "file_loaded").files, reference.files);
+  GreatSynthesizer assigned = other_model();
+  ASSERT_NE(*assigned.ContentFingerprint(), *fingerprint);
+  GreatSynthesizer source;
+  ASSERT_TRUE(source.DeserializeBinary(*bytes).ok());
+  assigned = std::move(source);
+  EXPECT_EQ(emit_from(assigned, "assigned").files, reference.files);
+}
+
+TEST_F(OocoreTest, RunFromCsvStreamingSerializesTheModelOnce) {
+  // The stage checkpoint's serialization fills the memo that keys
+  // emission; a rerun that loads the model serializes it once to key
+  // emission, and never to store it again.
+  fs::path dir = ScratchDir("oocore_serialize_once");
+  fs::path csv = dir / "input.csv";
+  Spit(csv, NumericCsv(120));
+  StreamingSynthesisOptions options;
+  options.stream.chunk_rows = 32;
+  options.emit_chunk_rows = 9;
+  options.checkpoint_dir = (dir / "ckpt").string();
+  Counter& serializations =
+      MetricsRegistry::Global().GetCounter("synth.serializations");
+  for (int run = 0; run < 2; ++run) {
+    const uint64_t before = serializations.Value();
+    Result<StreamingSynthesisResult> result = RunFromCsvStreaming(
+        csv.string(), (dir / "out.csv").string(), 20, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->model_from_checkpoint, run == 1);
+    EXPECT_EQ(serializations.Value() - before, 1u) << "run " << run;
+  }
 }
 
 // ---------- end-to-end driver: kill -9 anywhere, resume byte-identical --
