@@ -12,23 +12,22 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/strings.h"
 #include "obs/span.h"
 #include "stream/bounded_queue.h"
 #include "stream/stream_runtime.h"
+#include "tabular/table_builder.h"
 
 namespace greater {
 namespace {
 
-// Unit of work flowing reader -> parse workers. A checkpoint hit rides
-// the same path as raw records (preloaded short-circuits the parse), so
-// chunk order stays inside the bounded queues and the sink's reorder
-// buffer can never grow past workers + queue capacity.
+// Unit of work flowing reader -> parse workers: one chunk's split
+// records. Restoring or parsing it is the workers' job; chunk order stays
+// inside the bounded queues, so the sink's reorder buffer can never grow
+// past workers + queue capacity.
 struct ChunkTask {
   uint64_t seq = 0;
   uint64_t key = 0;
-  std::vector<CsvRecordSplitter::Record> records;
-  std::unique_ptr<CsvChunk> preloaded;
+  CsvRecordBatch records;
 };
 
 void EncodeChunk(const CsvChunk& chunk, ArtifactWriter* doc) {
@@ -41,11 +40,12 @@ void EncodeChunk(const CsvChunk& chunk, ArtifactWriter* doc) {
   }
   doc->AddChunk("flags", std::move(flags).Take());
 
+  // A row count, then every kept cell as a u32 length and its bytes.
+  const CsvCells& cells = chunk.cells;
   ByteWriter rows;
-  rows.PutU32(static_cast<uint32_t>(chunk.rows.size()));
-  for (const auto& row : chunk.rows) {
-    for (const std::string& cell : row) rows.PutString(cell);
-  }
+  rows.Reserve(4 + 4 * cells.size() + cells.bytes.size());
+  rows.PutU32(static_cast<uint32_t>(chunk.num_rows));
+  for (size_t i = 0; i < cells.size(); ++i) rows.PutString(cells.cell(i));
   doc->AddChunk("rows", std::move(rows).Take());
 
   ByteWriter quar;
@@ -59,8 +59,12 @@ void EncodeChunk(const CsvChunk& chunk, ArtifactWriter* doc) {
   doc->AddChunk("quarantine", std::move(quar).Take());
 }
 
+// Every count is checked against the bytes left before anything is
+// reserved, so a crafted count is a decode error (a corrupt miss), never a
+// huge allocation. With `keep_cells` false the cells are checked, not
+// copied.
 Status DecodeChunk(const ArtifactReader& doc, const std::string& source,
-                   size_t num_cols, CsvChunk* out) {
+                   size_t num_cols, bool keep_cells, CsvChunk* out) {
   GREATER_ASSIGN_OR_RETURN(std::string_view flag_bytes, doc.Chunk("flags"));
   ByteReader flags(flag_bytes);
   uint32_t ncols = 0;
@@ -82,12 +86,24 @@ Status DecodeChunk(const ArtifactReader& doc, const std::string& source,
   ByteReader rows(row_bytes);
   uint32_t nrows = 0;
   GREATER_RETURN_NOT_OK(rows.GetU32(&nrows));
-  out->rows.resize(nrows);
-  for (uint32_t r = 0; r < nrows; ++r) {
-    out->rows[r].resize(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      GREATER_RETURN_NOT_OK(rows.GetString(&out->rows[r][c]));
-    }
+  // A row takes at least num_cols length prefixes.
+  const uint64_t ncells = uint64_t{nrows} * num_cols;
+  if (ncells > rows.remaining() / 4) {
+    return Status::DataLoss("chunk checkpoint declares " +
+                            std::to_string(nrows) + " rows in " +
+                            std::to_string(rows.remaining()) + " bytes");
+  }
+  out->num_rows = nrows;
+  if (keep_cells) {
+    out->cells.ends.reserve(ncells);
+    out->cells.bytes.reserve(rows.remaining() - 4 * ncells);
+  }
+  for (uint64_t i = 0; i < ncells; ++i) {
+    uint32_t size = 0;
+    std::string_view cell;
+    GREATER_RETURN_NOT_OK(rows.GetU32(&size));
+    GREATER_RETURN_NOT_OK(rows.GetBytes(size, &cell));
+    if (keep_cells) out->cells.Append(cell);
   }
   GREATER_RETURN_NOT_OK(rows.ExpectEnd());
 
@@ -96,6 +112,14 @@ Status DecodeChunk(const ArtifactReader& doc, const std::string& source,
   ByteReader quar(quar_bytes);
   uint32_t nquar = 0;
   GREATER_RETURN_NOT_OK(quar.GetU32(&nquar));
+  // A quarantined record takes at least 20 bytes: its number, its code
+  // and two length prefixes.
+  if (nquar > quar.remaining() / 20) {
+    return Status::DataLoss("chunk checkpoint declares " +
+                            std::to_string(nquar) +
+                            " quarantined records in " +
+                            std::to_string(quar.remaining()) + " bytes");
+  }
   out->quarantined.resize(nquar);
   for (uint32_t i = 0; i < nquar; ++i) {
     QuarantinedRecord& q = out->quarantined[i];
@@ -112,6 +136,13 @@ Status DecodeChunk(const ArtifactReader& doc, const std::string& source,
     q.why = Status(static_cast<StatusCode>(code), std::move(message));
   }
   return quar.ExpectEnd();
+}
+
+void MergeChunkFlags(const CsvChunk& chunk,
+                     std::vector<CsvColumnFlags>* merged) {
+  for (size_t c = 0; c < merged->size(); ++c) {
+    (*merged)[c].Merge(chunk.flags[c]);
+  }
 }
 
 // Pulls input blocks; an empty string means end of input.
@@ -138,13 +169,16 @@ std::string ChunkCheckpointName(std::string_view label, uint64_t index) {
 struct CsvChunkReader::Impl {
   Impl(const CsvReadOptions& csv_in, const StreamOptions& stream_in,
        StreamPolicy policy_in, std::string label,
-       const ChunkCheckpointing& checkpoint)
+       const ChunkCheckpointing& checkpoint, CsvChunkRows rows_in,
+       Schema schema_in)
       : csv(csv_in),
         stream(stream_in),
         policy(policy_in),
         source_label(std::move(label)),
         ckpt(ChunkCheckpointStore(checkpoint.dir)),
         ckpt_label(checkpoint.label),
+        rows(rows_in),
+        schema(std::move(schema_in)),
         chunk_rows(std::max<size_t>(1, stream_in.chunk_rows)),
         num_workers(std::max<size_t>(1, stream_in.num_workers)),
         raw_q("ingest.raw", stream_in.queue_capacity),
@@ -158,6 +192,8 @@ struct CsvChunkReader::Impl {
   std::string source_label;
   CheckpointStore ckpt;
   std::string ckpt_label;
+  CsvChunkRows rows;
+  Schema schema;          // kTyped only
   CheckpointChain chain;  // reader thread only, until the join
   size_t chunk_rows;
   size_t num_workers;
@@ -183,6 +219,12 @@ struct CsvChunkReader::Impl {
 
   Status Start(BlockSource next_block);
   Status FinishPipeline();
+  // Parse-worker side: restores the task's chunk or, on a miss, parses and
+  // stores it, then shapes its rows as `rows` asks.
+  Status BuildChunk(ChunkTask* task, CsvChunk* chunk);
+  // The miss path: validates field counts, computes the type flags, and
+  // moves (or, past a quarantined record, copies) the kept cells.
+  Status ParseChunk(CsvRecordBatch* records, CsvChunk* chunk);
 };
 
 Status CsvChunkReader::Impl::Start(BlockSource next_block) {
@@ -190,13 +232,12 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
   // chain must cover it before any chunk.
   CsvRecordSplitter splitter(csv.delimiter);
   splitter.set_max_record_bytes(stream.max_record_bytes);
-  CsvRecordSplitter::Record header;
-  for (bool have_header = false; !have_header;) {
+  CsvRecordBatch header;
+  while (header.size() == 0) {
     GREATER_ASSIGN_OR_RETURN(CsvRecordSplitter::Next next,
                              splitter.NextRecord(&header));
     switch (next) {
       case CsvRecordSplitter::Next::kRecord:
-        have_header = true;
         break;
       case CsvRecordSplitter::Next::kNeedMoreInput: {
         GREATER_ASSIGN_OR_RETURN(std::string block, next_block());
@@ -211,8 +252,15 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
         return Status::DataLoss("CSV has no header record");
     }
   }
-  num_cols = header.fields.size();
-  header_fields = header.fields;
+  num_cols = header.num_fields(0);
+  for (size_t c = 0; c < num_cols; ++c) {
+    header_fields.emplace_back(header.field(0, c));
+  }
+  if (rows == CsvChunkRows::kTyped && schema.num_fields() != num_cols) {
+    return Status::Invalid("typed CSV chunks need a schema of " +
+                           std::to_string(num_cols) + " fields, got " +
+                           std::to_string(schema.num_fields()));
+  }
 
   if (ckpt.enabled()) {
     // Options fingerprint: anything that changes what a chunk computes
@@ -225,13 +273,13 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
     fp.PutU64(stream.max_record_bytes);
     fp.PutBool(policy == StreamPolicy::kLenient);
     chain.Mix(fp.bytes());
-    chain.Mix(header.raw);
+    chain.Mix(header.raw_record(0));
   }
 
   runtime.RegisterQueue(&raw_q);
   runtime.RegisterQueue(&parsed_q);
 
-  // --- reader: split records, form chunks, probe the checkpoint store ---
+  // --- reader: split records into chunk batches, advance the chain ---
   Heartbeat* reader_hb = runtime.AddHeartbeat("ingest.reader");
   runtime.Spawn(
       "ingest.reader", reader_hb,
@@ -239,47 +287,26 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
        spl = std::move(splitter)]() mutable -> Status {
         uint64_t seq = 0;
         auto task = std::make_unique<ChunkTask>();
-        std::string chunk_raw;  // raw bytes of this chunk, for the chain
         auto flush_chunk = [&]() {
-          task->seq = seq;
+          task->seq = seq++;
           if (ckpt.enabled()) {
-            chain.Mix(chunk_raw);
+            chain.Mix(task->records.raw);
             task->key = chain.value();
-            // A chunk that does not restore is recomputed from the raw
-            // records still held here.
-            auto pre = std::make_unique<CsvChunk>();
-            if (ckpt.Restore(ChunkCheckpointName(ckpt_label, seq), task->key,
-                             [&](const ArtifactReader& doc) {
-                               return DecodeChunk(doc, source_label,
-                                                  num_cols, pre.get());
-                             })) {
-              pre->seq = seq;
-              pre->from_checkpoint = true;
-              task->preloaded = std::move(pre);
-              task->records.clear();
-            }
           }
           bool accepted = raw_q.Push(std::move(task));
-          ++seq;
           task = std::make_unique<ChunkTask>();
-          chunk_raw.clear();
           return accepted;
         };
         for (;;) {
           reader_hb->Beat();
-          CsvRecordSplitter::Record record;
-          Result<CsvRecordSplitter::Next> next = spl.NextRecord(&record);
+          Result<CsvRecordSplitter::Next> next =
+              spl.NextRecord(&task->records);
           if (!next.ok()) {
             return next.status().WithContext("splitting records from '" +
                                              source_label + "'");
           }
           switch (*next) {
             case CsvRecordSplitter::Next::kRecord:
-              if (ckpt.enabled()) {
-                chunk_raw += record.raw;
-                chunk_raw += '\n';
-              }
-              task->records.push_back(std::move(record));
               if (task->records.size() >= chunk_rows && !flush_chunk()) {
                 return Status::OK();  // pipeline is shutting down
               }
@@ -294,7 +321,7 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
               break;
             }
             case CsvRecordSplitter::Next::kEndOfInput:
-              if (!task->records.empty() && !flush_chunk()) {
+              if (task->records.size() > 0 && !flush_chunk()) {
                 return Status::OK();
               }
               raw_q.Close();
@@ -303,7 +330,7 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
         }
       });
 
-  // --- parse workers: validate, infer flags, checkpoint ---
+  // --- parse workers: restore or parse, checkpoint, type ---
   for (size_t w = 0; w < num_workers; ++w) {
     std::string name = "ingest.parse." + std::to_string(w);
     Heartbeat* hb = runtime.AddHeartbeat(name);
@@ -323,52 +350,82 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
             return Status::OK();
           }
         }
-        std::unique_ptr<CsvChunk> chunk;
-        if (task->preloaded != nullptr) {
-          chunk = std::move(task->preloaded);
-        } else {
-          GREATER_FAULT_POINT("stream.chunk_parse");
-          chunk = std::make_unique<CsvChunk>();
-          chunk->seq = task->seq;
-          chunk->flags.assign(num_cols, CsvColumnFlags());
-          for (CsvRecordSplitter::Record& record : task->records) {
-            if (record.fields.size() != num_cols) {
-              Status why = Status::DataLoss(
-                  "CSV record " + std::to_string(record.number) + " has " +
-                  std::to_string(record.fields.size()) +
-                  " fields, header has " + std::to_string(num_cols));
-              if (policy == StreamPolicy::kStrict) return why;
-              QuarantinedRecord q;
-              q.source = source_label;
-              q.record_number = record.number;
-              q.why = std::move(why);
-              q.raw = std::move(record.raw);
-              chunk->quarantined.push_back(std::move(q));
-              continue;
-            }
-            for (size_t c = 0; c < num_cols; ++c) {
-              const std::string& cell = record.fields[c];
-              if (cell == csv.null_token) continue;
-              CsvColumnFlags& f = chunk->flags[c];
-              f.any_value = true;
-              if (f.all_int && !ParseInt(cell).has_value()) f.all_int = false;
-              if (f.all_double && !ParseDouble(cell).has_value()) {
-                f.all_double = false;
-              }
-            }
-            chunk->rows.push_back(std::move(record.fields));
-          }
-          ckpt.Store(ChunkCheckpointName(ckpt_label, task->seq), task->key,
-                     [&](ArtifactWriter* doc) {
-                       EncodeChunk(*chunk, doc);
-                       return Status::OK();
-                     });
-        }
+        auto chunk = std::make_unique<CsvChunk>();
+        GREATER_RETURN_NOT_OK(BuildChunk(task.get(), chunk.get()));
         if (!parsed_q.Push(std::move(chunk))) break;
       }
       if (live_workers.fetch_sub(1) == 1) parsed_q.Close();
       return Status::OK();
     });
+  }
+  return Status::OK();
+}
+
+Status CsvChunkReader::Impl::BuildChunk(ChunkTask* task, CsvChunk* chunk) {
+  const std::string name = ChunkCheckpointName(ckpt_label, task->seq);
+  const bool keep_cells = rows != CsvChunkRows::kNone;
+  // A chunk that does not restore is parsed from the records the task
+  // still holds.
+  const bool hit =
+      ckpt.Restore(name, task->key, [&](const ArtifactReader& doc) {
+        CsvChunk restored;
+        GREATER_RETURN_NOT_OK(DecodeChunk(doc, source_label, num_cols,
+                                          keep_cells, &restored));
+        *chunk = std::move(restored);
+        return Status::OK();
+      });
+  chunk->seq = task->seq;
+  chunk->from_checkpoint = hit;
+  if (!hit) {
+    GREATER_FAULT_POINT("stream.chunk_parse");
+    GREATER_RETURN_NOT_OK(ParseChunk(&task->records, chunk));
+    ckpt.Store(name, task->key, [&](ArtifactWriter* doc) {
+      EncodeChunk(*chunk, doc);
+      return Status::OK();
+    });
+  }
+  if (rows == CsvChunkRows::kTyped) {
+    GREATER_ASSIGN_OR_RETURN(
+        chunk->table, CsvRowsToTable(schema, chunk->cells, csv.null_token));
+  }
+  if (rows != CsvChunkRows::kCells) chunk->cells = CsvCells();
+  return Status::OK();
+}
+
+Status CsvChunkReader::Impl::ParseChunk(CsvRecordBatch* records,
+                                        CsvChunk* chunk) {
+  chunk->flags.assign(num_cols, CsvColumnFlags());
+  for (size_t r = 0; r < records->size(); ++r) {
+    if (records->num_fields(r) != num_cols) {
+      Status why = Status::DataLoss(
+          "CSV record " + std::to_string(records->numbers[r]) + " has " +
+          std::to_string(records->num_fields(r)) + " fields, header has " +
+          std::to_string(num_cols));
+      if (policy == StreamPolicy::kStrict) return why;
+      QuarantinedRecord q;
+      q.source = source_label;
+      q.record_number = records->numbers[r];
+      q.why = std::move(why);
+      q.raw = std::string(records->raw_record(r));
+      chunk->quarantined.push_back(std::move(q));
+      continue;
+    }
+    const size_t first = records->first_field(r);
+    for (size_t c = 0; c < num_cols; ++c) {
+      const std::string_view cell = records->cells.cell(first + c);
+      if (cell != csv.null_token) chunk->flags[c].Observe(cell);
+    }
+  }
+  chunk->num_rows = records->size() - chunk->quarantined.size();
+  if (chunk->quarantined.empty()) {
+    chunk->cells = std::move(records->cells);
+    return Status::OK();
+  }
+  for (size_t r = 0; r < records->size(); ++r) {
+    if (records->num_fields(r) != num_cols) continue;
+    for (size_t c = 0; c < num_cols; ++c) {
+      chunk->cells.Append(records->field(r, c));
+    }
   }
   return Status::OK();
 }
@@ -415,8 +472,8 @@ Result<std::optional<CsvChunk>> CsvChunkReader::Next() {
       StreamIngestReport& report = *im.report;
       ++report.chunks;
       if (chunk.from_checkpoint) ++report.chunk_checkpoint_hits;
-      report.rows_in += chunk.rows.size() + chunk.quarantined.size();
-      report.rows_out += chunk.rows.size();
+      report.rows_in += chunk.num_rows + chunk.quarantined.size();
+      report.rows_out += chunk.num_rows;
       report.quarantined += chunk.quarantined.size();
       for (const QuarantinedRecord& q : chunk.quarantined) {
         Status wrote = im.quarantine->Write(q);
@@ -457,7 +514,7 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
     const std::string& path, const CsvReadOptions& csv_options,
     const StreamOptions& options, StreamPolicy policy,
     StreamIngestReport* report, const ChunkCheckpointing& checkpoint,
-    QuarantineWriter* quarantine) {
+    QuarantineWriter* quarantine, CsvChunkRows rows, Schema schema) {
   auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
   if (!*in) {
     return Status::NotFound("cannot open CSV file '" + path + "'");
@@ -474,7 +531,7 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
     return block;
   };
   auto impl = std::make_unique<Impl>(csv_options, options, policy, path,
-                                     checkpoint);
+                                     checkpoint, rows, std::move(schema));
   impl->report = report != nullptr ? report : &impl->local_report;
   *impl->report = StreamIngestReport();
   impl->quarantine = quarantine != nullptr ? quarantine : &impl->count_only;
@@ -486,7 +543,8 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
     const std::string& text, const CsvReadOptions& csv_options,
     const StreamOptions& options, StreamPolicy policy,
     StreamIngestReport* report, const ChunkCheckpointing& checkpoint,
-    QuarantineWriter* quarantine, const std::string& source_label) {
+    QuarantineWriter* quarantine, const std::string& source_label,
+    CsvChunkRows rows, Schema schema) {
   size_t block_bytes = std::max<size_t>(1, options.io_block_bytes);
   auto copy = std::make_shared<std::string>(text);
   auto offset = std::make_shared<size_t>(0);
@@ -498,7 +556,8 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
     return block;
   };
   auto impl = std::make_unique<Impl>(csv_options, options, policy,
-                                     source_label, checkpoint);
+                                     source_label, checkpoint, rows,
+                                     std::move(schema));
   impl->report = report != nullptr ? report : &impl->local_report;
   *impl->report = StreamIngestReport();
   impl->quarantine = quarantine != nullptr ? quarantine : &impl->count_only;
@@ -506,113 +565,35 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
   return std::unique_ptr<CsvChunkReader>(new CsvChunkReader(std::move(impl)));
 }
 
-Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
-                                  const std::vector<CsvColumnFlags>& merged,
-                                  bool infer_types) {
-  const size_t num_cols = header.size();
-  std::vector<ValueType> types(num_cols, ValueType::kInt);
-  if (!infer_types) {
-    types.assign(num_cols, ValueType::kString);
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) {
-      if (!merged[c].any_value) {
-        types[c] = ValueType::kString;
-      } else if (merged[c].all_int) {
-        types[c] = ValueType::kInt;
-      } else if (merged[c].all_double) {
-        types[c] = ValueType::kDouble;
-      } else {
-        types[c] = ValueType::kString;
-      }
-    }
-  }
-  std::vector<Field> fields;
-  fields.reserve(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    SemanticType semantic = types[c] == ValueType::kDouble
-                                ? SemanticType::kContinuous
-                                : SemanticType::kCategorical;
-    fields.emplace_back(header[c], types[c], semantic);
-  }
-  return Schema::Make(std::move(fields));
-}
-
-Result<Table> CsvRowsToTable(
-    const Schema& schema, const std::vector<std::vector<std::string>>& rows,
-    const std::string& null_token) {
-  const size_t num_cols = schema.num_fields();
-  Table table(schema);
-  for (const auto& row_cells : rows) {
-    Row row;
-    row.reserve(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      const std::string& cell = row_cells[c];
-      if (cell == null_token) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      switch (schema.field(c).type) {
-        case ValueType::kInt: {
-          std::optional<int64_t> parsed = ParseInt(cell);
-          if (!parsed.has_value()) {
-            return Status::DataLoss("cell '" + cell +
-                                    "' does not parse as int in column '" +
-                                    schema.field(c).name + "'");
-          }
-          row.push_back(Value(*parsed));
-          break;
-        }
-        case ValueType::kDouble: {
-          std::optional<double> parsed = ParseDouble(cell);
-          if (!parsed.has_value()) {
-            return Status::DataLoss("cell '" + cell +
-                                    "' does not parse as double in column '" +
-                                    schema.field(c).name + "'");
-          }
-          row.push_back(Value(*parsed));
-          break;
-        }
-        default:
-          row.push_back(Value(cell));
-      }
-    }
-    GREATER_RETURN_NOT_OK(table.AppendRow(std::move(row)));
-  }
-  return table;
-}
-
 namespace {
 
-void MergeChunkFlags(const CsvChunk& chunk,
-                     std::vector<CsvColumnFlags>* merged) {
-  for (size_t c = 0; c < merged->size(); ++c) {
-    (*merged)[c].any_value |=
-        chunk.flags.empty() ? false : chunk.flags[c].any_value;
-    (*merged)[c].all_int &= chunk.flags.empty() || chunk.flags[c].all_int;
-    (*merged)[c].all_double &=
-        chunk.flags.empty() || chunk.flags[c].all_double;
-  }
-}
-
 // Shared drain for the materializing entry points: pull every chunk in
-// order, merge flags, collect rows, then finalize with the exact
-// ReadCsvString type-inference semantics.
+// order, merge flags and keep the cells, then type them all under the
+// schema the merged flags infer (ReadCsvString's semantics exactly).
 Result<Table> DrainToTable(CsvChunkReader* reader,
                            const CsvReadOptions& csv) {
   const size_t num_cols = reader->header().size();
   std::vector<CsvColumnFlags> merged(num_cols);
-  std::vector<std::vector<std::string>> all_rows;
+  std::vector<CsvCells> chunks;
+  size_t num_rows = 0;
   for (;;) {
     GREATER_ASSIGN_OR_RETURN(std::optional<CsvChunk> chunk, reader->Next());
     if (!chunk.has_value()) break;
     MergeChunkFlags(*chunk, &merged);
-    for (auto& row : chunk->rows) all_rows.push_back(std::move(row));
+    num_rows += chunk->num_rows;
+    chunks.push_back(std::move(chunk->cells));
   }
   GREATER_RETURN_NOT_OK(reader->Close());
   GREATER_ASSIGN_OR_RETURN(
       Schema schema,
       SchemaFromCsvFlags(reader->header(), merged, csv.infer_types));
-  return CsvRowsToTable(schema, all_rows, csv.null_token);
+  TableBuilder builder(std::move(schema));
+  builder.Reserve(num_rows);
+  for (CsvCells& cells : chunks) {
+    GREATER_RETURN_NOT_OK(AppendCsvRows(cells, csv.null_token, &builder));
+    cells = CsvCells();
+  }
+  return builder.Build();
 }
 
 }  // namespace
@@ -661,7 +642,7 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
   GREATER_ASSIGN_OR_RETURN(
       std::unique_ptr<CsvChunkReader> reader,
       CsvChunkReader::OpenFile(path, csv_options, options, policy, report,
-                               checkpoint));
+                               checkpoint, nullptr, CsvChunkRows::kNone));
   const size_t num_cols = reader->header().size();
   std::vector<CsvColumnFlags> merged(num_cols);
   for (;;) {

@@ -42,19 +42,21 @@ std::string ChunkCheckpointName(std::string_view label, uint64_t index);
 ///
 ///   reader thread ──raw_q──> parse workers ──parsed_q──> caller (sink)
 ///
-/// The reader splits the file into records with CsvRecordSplitter (quoted
-/// newlines may span read blocks), groups them into chunks of
-/// `options.chunk_rows`, advances the chunk-hash chain with each chunk's
-/// RAW bytes, and probes the chunk checkpoint store: a hit skips the parse
-/// workers entirely. Workers validate field counts against the header —
-/// strict policy fails the run with the same typed kDataLoss error the
-/// in-memory reader produces; lenient policy diverts the record to the
-/// quarantine channel — compute per-column type-inference flags, and
-/// persist a per-chunk checkpoint. The caller's thread is the sink: a
-/// sequence-number reorder buffer restores input order regardless of
-/// worker count, so output is byte-identical to `ReadCsvFile` for any
-/// (num_workers, io_block_bytes, chunk_rows) — same table, same inferred
-/// types, same errors in strict mode.
+/// The reader only splits and chains: CsvRecordSplitter (quoted newlines
+/// may span read blocks) appends records to one flat CsvRecordBatch per
+/// chunk of `options.chunk_rows`, and the chunk-hash chain mixes each
+/// batch's raw text. Everything else happens on the parse workers. A
+/// worker first probes the chunk checkpoint store; a miss (or a corrupt
+/// chunk) is parsed from the batch the task still holds, so the hit and
+/// miss paths see the same chunk and chain. Parsing validates field
+/// counts against the header — strict policy fails the run with the same
+/// typed kDataLoss error the in-memory reader produces; lenient policy
+/// diverts the record to the quarantine channel — computes per-column
+/// type-inference flags, and persists a per-chunk checkpoint. The
+/// caller's thread is the sink: a sequence-number reorder buffer restores
+/// input order regardless of worker count, so output is byte-identical to
+/// `ReadCsvFile` for any (num_workers, io_block_bytes, chunk_rows) — same
+/// table, same inferred types, same errors in strict mode.
 ///
 /// Every input record is accounted for in `report`:
 /// `rows_in == rows_out + quarantined` (StreamIngestReport::Reconciles),
@@ -89,21 +91,27 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
                                      const std::string& source_label =
                                          "<memory>");
 
-/// Per-column type-inference accumulator: merged across chunks with
-/// OR/AND/AND, reproducing ReadCsvString's whole-column scan exactly.
-struct CsvColumnFlags {
-  bool any_value = false;
-  bool all_int = true;
-  bool all_double = true;
+/// What a CsvChunkReader's chunks carry besides their type flags and
+/// quarantined records. The parse workers build it, so the caller's pull
+/// only moves it.
+enum class CsvChunkRows {
+  kNone,   ///< no rows: a schema-only pass
+  kCells,  ///< CsvChunk::cells, the kept rows' raw cells
+  kTyped,  ///< CsvChunk::table, the kept rows typed under a given schema
 };
 
-/// One in-order chunk of a streaming CSV pass: the kept records' raw
-/// fields plus this chunk's type flags. Quarantined records were already
-/// counted (and written, when a quarantine file is configured) by the
-/// reader before the chunk was delivered.
+/// One in-order chunk of a streaming CSV pass: its kept rows (in the form
+/// the reader was opened for) plus this chunk's type flags. Quarantined
+/// records are counted (and written, when a quarantine file is
+/// configured) as the chunk is delivered.
 struct CsvChunk {
   uint64_t seq = 0;
-  std::vector<std::vector<std::string>> rows;
+  /// Kept rows, whatever the chunk carries.
+  uint64_t num_rows = 0;
+  /// kCells: the kept rows' cells, row-major, header width.
+  CsvCells cells;
+  /// kTyped: the kept rows under the reader's schema.
+  Table table;
   std::vector<CsvColumnFlags> flags;
   std::vector<QuarantinedRecord> quarantined;
   bool from_checkpoint = false;
@@ -117,7 +125,8 @@ struct CsvChunk {
 /// which blocks the parse workers, which fills raw_q, which blocks the
 /// reader — so peak memory is bounded by queue capacity times chunk size
 /// no matter how large the file is. This is the primitive out-of-core fit
-/// pulls typed chunks through.
+/// pulls typed chunks through: opened with CsvChunkRows::kTyped and a
+/// schema, the parse workers type each chunk, so the caller only moves it.
 ///
 /// Chunks arrive in input order (an internal sequence-number reorder
 /// buffer absorbs worker reordering). Next() returns std::nullopt at
@@ -129,12 +138,15 @@ struct CsvChunk {
 class CsvChunkReader {
  public:
   /// Opens the file variant. Consumes the header before returning.
+  /// `schema` is read with CsvChunkRows::kTyped only, and must have one
+  /// field per header column.
   static Result<std::unique_ptr<CsvChunkReader>> OpenFile(
       const std::string& path, const CsvReadOptions& csv_options,
       const StreamOptions& options, StreamPolicy policy,
       StreamIngestReport* report = nullptr,
       const ChunkCheckpointing& checkpoint = {},
-      QuarantineWriter* quarantine = nullptr);
+      QuarantineWriter* quarantine = nullptr,
+      CsvChunkRows rows = CsvChunkRows::kCells, Schema schema = Schema());
 
   /// In-memory variant (tests, embedded inputs).
   static Result<std::unique_ptr<CsvChunkReader>> OpenString(
@@ -143,7 +155,8 @@ class CsvChunkReader {
       StreamIngestReport* report = nullptr,
       const ChunkCheckpointing& checkpoint = {},
       QuarantineWriter* quarantine = nullptr,
-      const std::string& source_label = "<memory>");
+      const std::string& source_label = "<memory>",
+      CsvChunkRows rows = CsvChunkRows::kCells, Schema schema = Schema());
 
   ~CsvChunkReader();
   CsvChunkReader(const CsvChunkReader&) = delete;
@@ -172,19 +185,12 @@ class CsvChunkReader {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Builds the inferred schema from the header and the flags merged across
-/// every chunk — the exact ReadCsvString type-inference semantics
-/// (int -> double -> string; value-less columns are string; continuous
-/// semantic type for doubles, categorical otherwise).
-Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
-                                  const std::vector<CsvColumnFlags>& merged,
-                                  bool infer_types);
-
 /// Schema-only streaming pass: runs the chunked topology, merges each
-/// chunk's type flags, and drops the rows — peak memory is one queue's
-/// worth of chunks. With checkpointing, every chunk parsed here is
-/// stored, so later passes over the same file (out-of-core fit's vocab
-/// and count passes) are parse-free checkpoint hits, and
+/// chunk's type flags, and builds no rows (CsvChunkRows::kNone) — peak
+/// memory is one queue's worth of split batches. With checkpointing,
+/// every chunk parsed here is stored, so later passes over the same file
+/// (out-of-core fit's vocab and count passes) restore every chunk instead
+/// of parsing it, and
 /// `content_chain` (optional) receives CsvChunkReader::content_chain().
 Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        const CsvReadOptions& csv_options,
@@ -194,14 +200,6 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        const ChunkCheckpointing& checkpoint =
                                            {},
                                        uint64_t* content_chain = nullptr);
-
-/// Converts one chunk's raw string rows into a typed Table under a fixed
-/// schema (null_token cells become nulls). kDataLoss when a cell fails to
-/// parse as its column's declared type — impossible when the schema was
-/// inferred from the same input.
-Result<Table> CsvRowsToTable(const Schema& schema,
-                             const std::vector<std::vector<std::string>>& rows,
-                             const std::string& null_token);
 
 }  // namespace greater
 

@@ -32,25 +32,22 @@ Result<FitStage> FitStage::Open(const std::string& csv_path,
 TableChunkSource FitStage::ChunkSource() {
   return [this]() -> Result<TableChunkStream> {
     // Each pass opens a fresh reader, which restarts the chunk chain over
-    // the shared store.
+    // the shared store. Its parse workers type every chunk under the
+    // frozen schema, so a pull only moves the table out.
     GREATER_ASSIGN_OR_RETURN(
         std::shared_ptr<CsvChunkReader> reader,
         CsvChunkReader::OpenFile(csv_path_, options_.csv, options_.stream,
                                  options_.policy, &report_,
-                                 {options_.checkpoint_dir, kFitLabel}));
-    return TableChunkStream(
-        [this, reader]() -> Result<std::optional<Table>> {
-          GREATER_ASSIGN_OR_RETURN(std::optional<CsvChunk> chunk,
-                                   reader->Next());
-          if (!chunk.has_value()) {
-            GREATER_RETURN_NOT_OK(reader->Close());
-            return std::optional<Table>();
-          }
-          GREATER_ASSIGN_OR_RETURN(
-              Table table, CsvRowsToTable(schema_, chunk->rows,
-                                          options_.csv.null_token));
-          return std::optional<Table>(std::move(table));
-        });
+                                 {options_.checkpoint_dir, kFitLabel},
+                                 nullptr, CsvChunkRows::kTyped, schema_));
+    return TableChunkStream([reader]() -> Result<std::optional<Table>> {
+      GREATER_ASSIGN_OR_RETURN(std::optional<CsvChunk> chunk, reader->Next());
+      if (!chunk.has_value()) {
+        GREATER_RETURN_NOT_OK(reader->Close());
+        return std::optional<Table>();
+      }
+      return std::optional<Table>(std::move(chunk->table));
+    });
   };
 }
 

@@ -16,18 +16,20 @@ namespace greater {
 /// typed-chunk contract (tabular/table_stream.h) the synthesizer's
 /// streaming fit consumes.
 ///
-/// Open() runs one schema-only streaming pass (bounded memory — rows are
-/// dropped after their type flags merge) and freezes the inferred schema.
+/// Open() runs one schema-only streaming pass (bounded memory — it builds
+/// no rows, only type flags) and freezes the inferred schema.
 /// ChunkSource() then hands out a restartable source: every open starts a
-/// fresh chunked read of the same file and converts each CsvChunk to a
-/// typed Table under the frozen schema. Fit makes multiple passes
-/// (observed values, then encoding), and every pass re-reads the file
-/// under backpressure instead of holding it in memory.
+/// fresh chunked read of the same file whose parse workers type each
+/// chunk into a Table under the frozen schema (CsvChunkRows::kTyped), so
+/// the caller's pull only moves it. Fit makes multiple passes (observed
+/// values, then encoding), and every pass re-reads the file under
+/// backpressure instead of holding it in memory.
 ///
 /// With a checkpoint directory configured, all passes share one chunk
 /// store (same directory, label `oocore.fit`): the schema pass parses and
-/// stores every chunk, later passes are parse-free checkpoint hits, and a
-/// run killed mid-pass resumes from the chunks already stored —
+/// stores every chunk, later passes restore every chunk on the parse
+/// workers (the reader still splits each record, to chain the input),
+/// and a run killed mid-pass resumes from the chunks already stored —
 /// re-running it is byte-identical because chunk keys hash the input
 /// bytes and options fingerprint.
 class FitStage {

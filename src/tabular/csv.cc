@@ -1,6 +1,9 @@
 #include "tabular/csv.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -26,24 +29,31 @@ Counter& BlankLinesSkippedCounter() {
   return *counter;
 }
 
-// Splits CSV text into records of raw string fields, honoring quotes.
-// Implemented on the incremental splitter so the whole-string and chunked
-// readers can never drift apart semantically.
-Result<std::vector<std::vector<std::string>>> ParseRecords(
-    std::string_view text, char delim) {
-  CsvRecordSplitter splitter(delim);
-  splitter.set_max_record_bytes(0);  // whole-string path has no chunk budget
-  splitter.Feed(text);
-  splitter.FinishInput();
-  std::vector<std::vector<std::string>> records;
-  CsvRecordSplitter::Record record;
-  for (;;) {
-    GREATER_ASSIGN_OR_RETURN(CsvRecordSplitter::Next next,
-                             splitter.NextRecord(&record));
-    if (next != CsvRecordSplitter::Next::kRecord) break;
-    records.push_back(std::move(record.fields));
+// Appends one field's unescaped bytes: an unquoted field verbatim; a
+// quoted one as its body up to the closing quote with each doubled quote
+// unescaped, then any bytes after the closing quote verbatim.
+void AppendField(const char* field, size_t size, std::string* out) {
+  if (size == 0 || field[0] != '"') {
+    out->append(field, size);
+    return;
   }
-  return records;
+  size_t i = 1;
+  for (;;) {
+    const void* quote = std::memchr(field + i, '"', size - i);
+    if (quote == nullptr) {  // unreachable: the scan saw the field close
+      out->append(field + i, size - i);
+      return;
+    }
+    const size_t at = static_cast<const char*>(quote) - field;
+    out->append(field + i, at - i);
+    if (at + 1 < size && field[at + 1] == '"') {
+      out->push_back('"');
+      i = at + 2;
+      continue;
+    }
+    out->append(field + at + 1, size - at - 1);
+    return;
+  }
 }
 
 }  // namespace
@@ -51,6 +61,13 @@ Result<std::vector<std::vector<std::string>>> ParseRecords(
 CsvRecordSplitter::CsvRecordSplitter(char delimiter) : delim_(delimiter) {}
 
 void CsvRecordSplitter::Feed(std::string_view bytes) {
+  // Everything before rec_start_ was emitted, and the scan state is
+  // relative to rec_start_, so the consumed prefix can go.
+  if (rec_start_ > 0) {
+    buffer_.erase(0, rec_start_);
+    scan_ -= rec_start_;
+    rec_start_ = 0;
+  }
   buffer_.append(bytes.data(), bytes.size());
 }
 
@@ -63,7 +80,46 @@ Status CsvRecordSplitter::Oversized() const {
       "-byte record budget (unterminated quote or pathological row?)");
 }
 
-Result<CsvRecordSplitter::Next> CsvRecordSplitter::NextRecord(Record* out) {
+bool CsvRecordSplitter::Emit(size_t end, CsvRecordBatch* out) {
+  const char* record = buffer_.data() + rec_start_;
+  const size_t size = end - rec_start_;
+  CsvCells& cells = out->cells;
+  field_ends_.push_back(size);
+  size_t begin = 0;
+  size_t last_begin = 0;
+  for (size_t field_end : field_ends_) {
+    last_begin = cells.bytes.size();
+    AppendField(record + begin, field_end - begin, &cells.bytes);
+    cells.ends.push_back(cells.bytes.size());
+    begin = field_end + 1;
+  }
+  // The '\r' of a CRLF ends the last field; drop it. A '\r' closing a
+  // quoted last field goes too, so every table read so far keeps its bytes.
+  if (cells.bytes.size() > last_begin && cells.bytes.back() == '\r') {
+    cells.bytes.pop_back();
+    --cells.ends.back();
+  }
+  const bool blank =
+      field_ends_.size() == 1 && cells.bytes.size() == last_begin;
+  field_ends_.clear();
+  field_begin_ = 0;
+  if (blank) {
+    cells.ends.pop_back();  // its one field is empty: no bytes to drop
+    BlankLinesSkippedCounter().Increment();
+    return false;
+  }
+  const size_t raw_size =
+      size > 0 && record[size - 1] == '\r' ? size - 1 : size;
+  out->raw.append(record, raw_size);
+  out->raw_ends.push_back(out->raw.size());
+  out->raw.push_back('\n');
+  out->field_ends.push_back(cells.size());
+  out->numbers.push_back(++records_emitted_);
+  return true;
+}
+
+Result<CsvRecordSplitter::Next> CsvRecordSplitter::NextRecord(
+    CsvRecordBatch* out) {
   // Tolerate a UTF-8 byte-order mark at stream start: some exporters
   // (notably spreadsheet tools on Windows) prepend one, and without
   // stripping it the BOM bytes would silently become part of the first
@@ -71,11 +127,11 @@ Result<CsvRecordSplitter::Next> CsvRecordSplitter::NextRecord(Record* out) {
   // turn into a BOM, so hold off until it is decidable.
   if (!bom_checked_) {
     static constexpr std::string_view kBom = "\xEF\xBB\xBF";
-    std::string_view head =
-        std::string_view(buffer_).substr(pos_, std::min<size_t>(
-                                                   buffer_.size() - pos_, 3));
+    std::string_view head = std::string_view(buffer_).substr(
+        rec_start_, std::min<size_t>(buffer_.size() - rec_start_, 3));
     if (head == kBom) {
-      pos_ += 3;
+      rec_start_ += 3;
+      scan_ = rec_start_;
       bom_checked_ = true;
       BomStrippedCounter().Increment();
     } else if (head.size() < 3 && kBom.substr(0, head.size()) == head &&
@@ -86,100 +142,169 @@ Result<CsvRecordSplitter::Next> CsvRecordSplitter::NextRecord(Record* out) {
     }
   }
 
-  // Completes the buffered record. Returns false for a skipped blank line
-  // (a record that is a single empty field), true when *out was filled.
-  auto emit = [&]() {
-    if (!field_.empty() && field_.back() == '\r') field_.pop_back();
-    if (!raw_.empty() && raw_.back() == '\r') raw_.pop_back();
-    fields_.push_back(std::move(field_));
-    field_.clear();
-    field_started_ = false;
-    if (fields_.size() == 1 && fields_[0].empty()) {
-      BlankLinesSkippedCounter().Increment();
-      fields_.clear();
-      raw_.clear();
-      return false;
-    }
-    out->number = ++records_emitted_;
-    out->fields = std::move(fields_);
-    fields_.clear();
-    out->raw = std::move(raw_);
-    raw_.clear();
-    return true;
-  };
-  // Reclaims consumed buffer prefix; called only at points where pos_ is
-  // the sole cursor into buffer_.
-  auto compact = [&]() {
-    if (pos_ >= (size_t{1} << 16)) {
-      buffer_.erase(0, pos_);
-      pos_ = 0;
-    }
-  };
-
-  while (pos_ < buffer_.size()) {
-    char c = buffer_[pos_];
-    if (in_quotes_) {
-      if (c == '"') {
-        if (pos_ + 1 < buffer_.size()) {
-          if (buffer_[pos_ + 1] == '"') {  // escaped quote
-            field_ += '"';
-            raw_ += "\"\"";
-            pos_ += 2;
+  const char* const data = buffer_.data();
+  const size_t size = buffer_.size();
+  size_t i = scan_;
+  for (;;) {
+    // Scan the record in progress up to its newline or the buffer's end.
+    // Only field boundaries are recorded; bytes are copied once the record
+    // is complete.
+    bool at_newline = false;
+    while (i < size) {
+      if (in_quotes_) {
+        const void* quote = std::memchr(data + i, '"', size - i);
+        if (quote == nullptr) {
+          i = size;
+          break;
+        }
+        i = static_cast<size_t>(static_cast<const char*>(quote) - data);
+        if (i + 1 < size) {
+          // A doubled quote is an escaped quote; anything else closes.
+          if (data[i + 1] == '"') {
+            i += 2;
           } else {
             in_quotes_ = false;
-            raw_ += '"';
-            pos_ += 1;
+            i += 1;
           }
         } else if (finished_) {
           in_quotes_ = false;
-          raw_ += '"';
-          pos_ += 1;
+          i += 1;
         } else {
           // A closing quote at the buffer edge is ambiguous (the next byte
           // may double it into an escape); wait for more input.
-          compact();
-          return Next::kNeedMoreInput;
+          break;
         }
-      } else {
-        field_ += c;
-        raw_ += c;
-        pos_ += 1;
+        continue;
       }
-    } else if (c == '"' && !field_started_) {
-      in_quotes_ = true;
-      field_started_ = true;
-      raw_ += c;
-      pos_ += 1;
-    } else if (c == delim_) {
-      raw_ += c;
-      fields_.push_back(std::move(field_));
-      field_.clear();
-      field_started_ = false;
-      pos_ += 1;
-    } else if (c == '\n') {
-      pos_ += 1;
-      compact();
-      if (emit()) return Next::kRecord;
-    } else {
-      field_ += c;
-      field_started_ = true;
-      raw_ += c;
-      pos_ += 1;
+      // A quote opens quoting only as a field's first byte.
+      if (data[i] == '"' && i == rec_start_ + field_begin_) {
+        in_quotes_ = true;
+        i += 1;
+        continue;
+      }
+      while (i < size && data[i] != delim_ && data[i] != '\n') ++i;
+      if (i == size) break;
+      if (data[i] == '\n') {
+        at_newline = true;
+        break;
+      }
+      field_ends_.push_back(i - rec_start_);
+      field_begin_ = i + 1 - rec_start_;
+      i += 1;
     }
-    if (max_record_bytes_ != 0 && raw_.size() > max_record_bytes_) {
+    scan_ = i;
+    if (max_record_bytes_ != 0 && i - rec_start_ > max_record_bytes_) {
       return Oversized();
     }
+    if (!at_newline) break;
+    const bool emitted = Emit(i, out);
+    i += 1;
+    rec_start_ = scan_ = i;
+    if (emitted) return Next::kRecord;
   }
-  compact();
   if (!finished_) return Next::kNeedMoreInput;
   if (in_quotes_) {
     return Status::DataLoss("CSV ends inside a quoted field");
   }
-  // Ragged final record without a trailing newline.
-  if (!field_.empty() || !fields_.empty()) {
-    if (emit()) return Next::kRecord;
+  // Ragged final record without a trailing newline: emitted unless it is
+  // a lone empty field (nothing, or an empty quoted field).
+  const size_t field_start = rec_start_ + field_begin_;
+  const size_t field_size = size - field_start;
+  const bool empty_field =
+      field_size == 0 || (field_size == 2 && data[field_start] == '"');
+  if (!field_ends_.empty() || !empty_field) {
+    const bool emitted = Emit(size, out);
+    rec_start_ = scan_ = size;
+    if (emitted) return Next::kRecord;
   }
   return Next::kEndOfInput;
+}
+
+void CsvColumnFlags::Observe(std::string_view cell) {
+  any_value = true;
+  // An int that from_chars accepts is always a valid double, so the
+  // double probe runs only on a cell that is not an int.
+  if (all_int && ParseInt(cell).has_value()) return;
+  all_int = false;
+  if (all_double && !ParseDouble(cell).has_value()) all_double = false;
+}
+
+Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
+                                  const std::vector<CsvColumnFlags>& merged,
+                                  bool infer_types) {
+  const size_t num_cols = header.size();
+  std::vector<Field> fields;
+  fields.reserve(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    ValueType type = ValueType::kString;
+    if (infer_types && merged[c].any_value) {
+      if (merged[c].all_int) {
+        type = ValueType::kInt;
+      } else if (merged[c].all_double) {
+        type = ValueType::kDouble;
+      }
+    }
+    SemanticType semantic = type == ValueType::kDouble
+                                ? SemanticType::kContinuous
+                                : SemanticType::kCategorical;
+    fields.emplace_back(header[c], type, semantic);
+  }
+  return Schema::Make(std::move(fields));
+}
+
+Status AppendCsvRows(const CsvCells& cells, const std::string& null_token,
+                     TableBuilder* builder) {
+  const Schema& schema = builder->schema();
+  const size_t num_cols = schema.num_fields();
+  if (num_cols == 0 ? cells.size() != 0 : cells.size() % num_cols != 0) {
+    return Status::Invalid(std::to_string(cells.size()) +
+                           " cells do not fill rows of " +
+                           std::to_string(num_cols) + " columns");
+  }
+  for (size_t first = 0; first < cells.size(); first += num_cols) {
+    for (size_t c = 0; c < num_cols; ++c) {
+      const std::string_view cell = cells.cell(first + c);
+      Value value;
+      if (cell != null_token) {
+        switch (schema.field(c).type) {
+          case ValueType::kInt: {
+            std::optional<int64_t> parsed = ParseInt(cell);
+            if (!parsed.has_value()) {
+              return Status::DataLoss("cell '" + std::string(cell) +
+                                      "' does not parse as int in column '" +
+                                      schema.field(c).name + "'");
+            }
+            value = Value(*parsed);
+            break;
+          }
+          case ValueType::kDouble: {
+            std::optional<double> parsed = ParseDouble(cell);
+            if (!parsed.has_value()) {
+              return Status::DataLoss(
+                  "cell '" + std::string(cell) +
+                  "' does not parse as double in column '" +
+                  schema.field(c).name + "'");
+            }
+            value = Value(*parsed);
+            break;
+          }
+          default:
+            value = Value(std::string(cell));
+        }
+      }
+      GREATER_RETURN_NOT_OK(builder->AppendCell(c, std::move(value)));
+    }
+    GREATER_RETURN_NOT_OK(builder->CommitRow());
+  }
+  return Status::OK();
+}
+
+Result<Table> CsvRowsToTable(const Schema& schema, const CsvCells& cells,
+                             const std::string& null_token) {
+  TableBuilder builder(schema);
+  builder.Reserve(cells.size() / std::max<size_t>(1, schema.num_fields()));
+  GREATER_RETURN_NOT_OK(AppendCsvRows(cells, null_token, &builder));
+  return builder.Build();
 }
 
 Result<Table> ReadCsvString(const std::string& text,
@@ -193,87 +318,49 @@ Result<Table> ReadCsvString(const std::string& text,
     body.remove_prefix(3);
     BomStrippedCounter().Increment();
   }
-  GREATER_ASSIGN_OR_RETURN(auto records,
-                           ParseRecords(body, options.delimiter));
-  if (records.empty()) {
+  CsvRecordSplitter splitter(options.delimiter);
+  splitter.set_max_record_bytes(0);  // whole-string path has no chunk budget
+  splitter.Feed(body);
+  splitter.FinishInput();
+  CsvRecordBatch header;
+  GREATER_ASSIGN_OR_RETURN(CsvRecordSplitter::Next next,
+                           splitter.NextRecord(&header));
+  CsvRecordBatch records;
+  while (next == CsvRecordSplitter::Next::kRecord) {
+    GREATER_ASSIGN_OR_RETURN(next, splitter.NextRecord(&records));
+  }
+  if (header.size() == 0) {
     return Status::DataLoss("CSV has no header record");
   }
-  const std::vector<std::string>& header = records[0];
-  size_t num_cols = header.size();
-  for (size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() != num_cols) {
+  const size_t num_cols = header.num_fields(0);
+  for (size_t r = 0; r < records.size(); ++r) {
+    if (records.num_fields(r) != num_cols) {
       // 1-based record number counting the header as record 1, so the
       // number matches the line users see in an editor (blank lines aside).
-      return Status::DataLoss("CSV record " + std::to_string(r + 1) +
-                              " has " + std::to_string(records[r].size()) +
+      return Status::DataLoss("CSV record " +
+                              std::to_string(records.numbers[r]) + " has " +
+                              std::to_string(records.num_fields(r)) +
                               " fields, header has " +
                               std::to_string(num_cols));
     }
   }
 
-  // Infer a type per column.
-  std::vector<ValueType> types(num_cols, ValueType::kInt);
-  if (!options.infer_types) {
-    types.assign(num_cols, ValueType::kString);
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) {
-      bool all_int = true;
-      bool all_double = true;
-      bool any_value = false;
-      for (size_t r = 1; r < records.size(); ++r) {
-        const std::string& cell = records[r][c];
-        if (cell == options.null_token) continue;
-        any_value = true;
-        if (all_int && !ParseInt(cell).has_value()) all_int = false;
-        if (all_double && !ParseDouble(cell).has_value()) all_double = false;
-        if (!all_int && !all_double) break;
-      }
-      if (!any_value) {
-        types[c] = ValueType::kString;
-      } else if (all_int) {
-        types[c] = ValueType::kInt;
-      } else if (all_double) {
-        types[c] = ValueType::kDouble;
-      } else {
-        types[c] = ValueType::kString;
-      }
-    }
-  }
-
-  std::vector<Field> fields;
-  fields.reserve(num_cols);
+  std::vector<std::string> names;
+  names.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
-    SemanticType semantic = types[c] == ValueType::kDouble
-                                ? SemanticType::kContinuous
-                                : SemanticType::kCategorical;
-    fields.emplace_back(header[c], types[c], semantic);
+    names.emplace_back(header.field(0, c));
   }
-  GREATER_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  Table table(std::move(schema));
-
-  for (size_t r = 1; r < records.size(); ++r) {
-    Row row;
-    row.reserve(num_cols);
+  std::vector<CsvColumnFlags> flags(num_cols);
+  for (size_t first = 0; options.infer_types && first < records.cells.size();
+       first += num_cols) {
     for (size_t c = 0; c < num_cols; ++c) {
-      const std::string& cell = records[r][c];
-      if (cell == options.null_token) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      switch (types[c]) {
-        case ValueType::kInt:
-          row.push_back(Value(*ParseInt(cell)));
-          break;
-        case ValueType::kDouble:
-          row.push_back(Value(*ParseDouble(cell)));
-          break;
-        default:
-          row.push_back(Value(cell));
-      }
+      const std::string_view cell = records.cells.cell(first + c);
+      if (cell != options.null_token) flags[c].Observe(cell);
     }
-    GREATER_RETURN_NOT_OK(table.AppendRow(std::move(row)));
   }
-  return table;
+  GREATER_ASSIGN_OR_RETURN(
+      Schema schema, SchemaFromCsvFlags(names, flags, options.infer_types));
+  return CsvRowsToTable(schema, records.cells, options.null_token);
 }
 
 Result<Table> ReadCsvFile(const std::string& path,

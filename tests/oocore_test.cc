@@ -757,6 +757,30 @@ TEST_F(OocoreTest, RunFromCsvStreamingSerializesTheModelOnce) {
   }
 }
 
+TEST_F(OocoreTest, RunFromCsvStreamingLastFitPassCountsEveryRow) {
+  // A fresh durable run: the schema pass parses and stores every chunk,
+  // and the last fit pass, whose report the result carries, restores them
+  // all on the parse workers and still counts every row it delivers.
+  fs::path dir = ScratchDir("oocore_pass_accounting");
+  fs::path csv = dir / "input.csv";
+  Spit(csv, NumericCsv(150));
+  StreamingSynthesisOptions options;
+  options.stream.chunk_rows = 16;
+  options.stream.num_workers = 2;
+  options.emit_chunk_rows = 9;
+  options.checkpoint_dir = (dir / "ckpt").string();
+  Result<StreamingSynthesisResult> result = RunFromCsvStreaming(
+      csv.string(), (dir / "out.csv").string(), 20, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->model_from_checkpoint);
+  EXPECT_EQ(result->input_rows, 150u);
+  EXPECT_EQ(result->ingest.rows_out, 150u);
+  EXPECT_EQ(result->ingest.rows_in, 150u);
+  EXPECT_TRUE(result->ingest.Reconciles());
+  EXPECT_EQ(result->ingest.chunks, 10u);
+  EXPECT_EQ(result->ingest.chunk_checkpoint_hits, result->ingest.chunks);
+}
+
 // ---------- end-to-end driver: kill -9 anywhere, resume byte-identical --
 
 TEST_F(OocoreTest, RunFromCsvStreamingSigkillAnywhereThenResume) {

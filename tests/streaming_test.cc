@@ -1,6 +1,7 @@
 // Streaming runtime suite (`ctest -L streaming`): bounded-queue
 // backpressure, incremental CSV record splitting across arbitrary block
-// boundaries, quarantine accounting under the lenient policy, watchdog
+// boundaries (checked against a byte-at-a-time reference splitter on
+// generated inputs), quarantine accounting under the lenient policy, watchdog
 // detection of hung/dead workers, and per-chunk crash resume — including
 // a fork + SIGKILL sweep that must land byte-identical after resuming
 // from the same checkpoint directory. This is also the suite to run
@@ -26,10 +27,12 @@
 #include "common/artifact_io.h"
 #include "common/checkpoint_store.h"
 #include "common/fault.h"
+#include "common/rng.h"
 #include "crosstable/flatten.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
 #include "obs/metrics.h"
+#include "reference_csv_splitter.h"
 #include "stream/bounded_queue.h"
 #include "stream/csv_ingest.h"
 #include "stream/quarantine.h"
@@ -168,27 +171,23 @@ TEST_F(StreamingTest, PoisonUnblocksBlockedProducerAndConsumer) {
 
 // ---------- incremental CSV record splitter ----------
 
-std::vector<CsvRecordSplitter::Record> SplitAll(const std::string& text,
-                                                size_t block_bytes) {
+std::vector<CsvRecordCopy> SplitAll(const std::string& text,
+                                    size_t block_bytes) {
   CsvRecordSplitter splitter;
-  std::vector<CsvRecordSplitter::Record> records;
+  CsvRecordBatch batch;
   for (size_t off = 0; off < text.size(); off += block_bytes) {
     splitter.Feed(std::string_view(text).substr(off, block_bytes));
-    CsvRecordSplitter::Record record;
     while (true) {
-      auto next = splitter.NextRecord(&record);
+      auto next = splitter.NextRecord(&batch);
       if (!next.ok() || *next != CsvRecordSplitter::Next::kRecord) break;
-      records.push_back(record);
     }
   }
   splitter.FinishInput();
-  CsvRecordSplitter::Record record;
   while (true) {
-    auto next = splitter.NextRecord(&record);
+    auto next = splitter.NextRecord(&batch);
     if (!next.ok() || *next != CsvRecordSplitter::Next::kRecord) break;
-    records.push_back(record);
   }
-  return records;
+  return CopyRecords(batch);
 }
 
 TEST_F(StreamingTest, SplitterIsIndependentOfBlockBoundaries) {
@@ -238,6 +237,149 @@ TEST_F(StreamingTest, SplitterEnforcesRecordByteBudget) {
   EXPECT_EQ(next.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(next.status().message().find("record budget"),
             std::string::npos);
+}
+
+// ---------- splitter vs the byte-at-a-time reference ----------
+
+// A random CSV byte stream over every splitter edge: quoted fields with
+// delimiters, escaped quotes, quoted newlines and quoted CRs; quotes and
+// text after a closing quote; CRLF, LF and lone CR; a BOM; blank and `""`
+// lines; ragged rows and empty cells; non-ASCII text; sometimes an
+// unterminated quote or no trailing newline at the end.
+std::string GenerateCsv(Rng* rng) {
+  static const char* const kPlain[] = {
+      "a", "42", "-7", "3.5", "x y", "é", "日本", "na\xC3\xAFve", "0",
+      "1e3", " ", "q\"mid", "lone\rcr"};
+  static const char* const kQuoted[] = {
+      "\"a,b\"",        "\"say \"\"hi\"\"\"", "\"line\nbreak\"",
+      "\"cr\rinside\"", "\"\"",              "\"tail\"after",
+      "\"x\"\"",        "\"trail\r\"",       "\"\"\"\"",
+      "\"ü,\n\"\"\""};
+  std::string text;
+  if (rng->Bernoulli(0.2)) text += "\xEF\xBB\xBF";
+  const size_t records = rng->Index(12);
+  for (size_t r = 0; r < records; ++r) {
+    const double kind = rng->Uniform();
+    if (kind < 0.08) {
+      text += rng->Bernoulli(0.5) ? "" : "\"\"";
+    } else if (kind < 0.12) {
+      text += std::string(rng->Index(40) + 20, 'w');  // maybe oversized
+    } else {
+      const size_t fields = rng->Index(5) + 1;
+      for (size_t f = 0; f < fields; ++f) {
+        if (f > 0) text += ',';
+        const double cell = rng->Uniform();
+        if (cell < 0.2) continue;  // empty cell
+        text += cell < 0.6 ? kPlain[rng->Index(std::size(kPlain))]
+                           : kQuoted[rng->Index(std::size(kQuoted))];
+      }
+    }
+    if (r + 1 == records && rng->Bernoulli(0.3)) break;  // no final newline
+    const double sep = rng->Uniform();
+    text += sep < 0.6 ? "\n" : sep < 0.9 ? "\r\n" : "\r\r\n";
+  }
+  if (rng->Bernoulli(0.05)) text += "1,\"unterminated";
+  return text;
+}
+
+struct SplitOutcome {
+  std::vector<CsvRecordCopy> records;
+  std::string chain_bytes;  // every record's raw text plus '\n'
+  Status status;
+};
+
+// Drives a splitter the way the ingest reader does, feeding `text` in
+// blocks that end at `cuts`.
+template <typename Splitter, typename Pull>
+SplitOutcome DriveSplitter(Splitter* splitter, const std::string& text,
+                           const std::vector<size_t>& cuts, Pull pull) {
+  SplitOutcome outcome;
+  size_t block = 0;
+  size_t offset = 0;
+  for (;;) {
+    Result<CsvRecordSplitter::Next> next = pull(&outcome);
+    if (!next.ok()) {
+      outcome.status = next.status();
+      return outcome;
+    }
+    if (*next == CsvRecordSplitter::Next::kEndOfInput) return outcome;
+    if (*next != CsvRecordSplitter::Next::kNeedMoreInput) continue;
+    if (block == cuts.size()) {
+      splitter->FinishInput();
+      continue;
+    }
+    splitter->Feed(std::string_view(text).substr(offset, cuts[block] - offset));
+    offset = cuts[block++];
+  }
+}
+
+TEST_F(StreamingTest, SplitterMatchesByteAtATimeReference) {
+  Counter& boms = MetricsRegistry::Global().GetCounter("csv.bom_stripped");
+  Counter& blanks =
+      MetricsRegistry::Global().GetCounter("csv.blank_lines_skipped");
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::string text = GenerateCsv(&rng);
+    const size_t max_record_bytes = rng.Bernoulli(0.5) ? 0 : 24 + rng.Index(40);
+    std::vector<size_t> cuts;
+    for (size_t at = 0; at < text.size();) {
+      at = std::min(text.size(), at + 1 + rng.Index(rng.Bernoulli(0.5) ? 4 : 64));
+      cuts.push_back(at);
+    }
+    // The production side starts a fresh batch every few records, as the
+    // reader does at each chunk boundary.
+    const size_t batch_records = 1 + rng.Index(4);
+
+    ReferenceCsvSplitter reference;
+    reference.set_max_record_bytes(max_record_bytes);
+    SplitOutcome expected =
+        DriveSplitter(&reference, text, cuts, [&](SplitOutcome* out) {
+          CsvRecordCopy record;
+          Result<CsvRecordSplitter::Next> next = reference.NextRecord(&record);
+          if (next.ok() && *next == CsvRecordSplitter::Next::kRecord) {
+            out->chain_bytes += record.raw + '\n';
+            out->records.push_back(std::move(record));
+          }
+          return next;
+        });
+
+    const uint64_t boms_before = boms.Value();
+    const uint64_t blanks_before = blanks.Value();
+    CsvRecordSplitter splitter;
+    splitter.set_max_record_bytes(max_record_bytes);
+    CsvRecordBatch batch;
+    auto flush = [&](SplitOutcome* out) {
+      for (CsvRecordCopy& record : CopyRecords(batch)) {
+        out->records.push_back(std::move(record));
+      }
+      out->chain_bytes += batch.raw;
+      batch = CsvRecordBatch();
+    };
+    SplitOutcome got =
+        DriveSplitter(&splitter, text, cuts, [&](SplitOutcome* out) {
+          Result<CsvRecordSplitter::Next> next = splitter.NextRecord(&batch);
+          if (!next.ok() || *next == CsvRecordSplitter::Next::kEndOfInput ||
+              batch.size() == batch_records) {
+            flush(out);
+          }
+          return next;
+        });
+
+    ASSERT_EQ(got.status.code(), expected.status.code());
+    ASSERT_EQ(got.status.message(), expected.status.message());
+    ASSERT_EQ(got.records.size(), expected.records.size());
+    for (size_t r = 0; r < expected.records.size(); ++r) {
+      SCOPED_TRACE("record " + std::to_string(r));
+      EXPECT_EQ(got.records[r].number, expected.records[r].number);
+      EXPECT_EQ(got.records[r].fields, expected.records[r].fields);
+      EXPECT_EQ(got.records[r].raw, expected.records[r].raw);
+    }
+    EXPECT_EQ(got.chain_bytes, expected.chain_bytes);
+    EXPECT_EQ(boms.Value() - boms_before, reference.boms_stripped());
+    EXPECT_EQ(blanks.Value() - blanks_before, reference.blank_lines_skipped());
+    if (HasFailure()) return;
+  }
 }
 
 // ---------- streaming ingest == in-memory reader ----------
@@ -443,9 +585,28 @@ TEST_F(StreamingTest, ChunkStoreFailuresAreSwallowedAndCounted) {
             1u);
 }
 
+// A CRC-valid chunk document whose flags fit a 3-column header, declaring
+// `rows` rows and `quarantined` quarantined records with no payload.
+std::string CraftedChunkDocument(uint32_t rows, uint32_t quarantined) {
+  ArtifactWriter doc("greater.chunk_checkpoint", 1);
+  ByteWriter flags;
+  flags.PutU32(3);
+  for (int i = 0; i < 9; ++i) flags.PutBool(true);
+  doc.AddChunk("flags", std::move(flags).Take());
+  ByteWriter row_bytes;
+  row_bytes.PutU32(rows);
+  doc.AddChunk("rows", std::move(row_bytes).Take());
+  ByteWriter quar_bytes;
+  quar_bytes.PutU32(quarantined);
+  doc.AddChunk("quarantine", std::move(quar_bytes).Take());
+  return doc.Finish();
+}
+
 TEST_F(StreamingTest, UndecodableChunkCheckpointIsACorruptMiss) {
-  // Chunk files that parse as chunk documents but hold no chunk payload
-  // must be recomputed, and counted as corrupt misses, never as hits.
+  // Chunk files that parse as chunk documents but hold no chunk payload,
+  // or declare far more rows or quarantined records than they hold, must
+  // be recomputed, and counted as corrupt misses, never as hits — and a
+  // crafted count must never become an allocation of that many entries.
   fs::path dir = ScratchDir("stream_undecodable");
   const std::string text = NumericCsv(40);
   StreamOptions opt = SmallStream();
@@ -457,35 +618,45 @@ TEST_F(StreamingTest, UndecodableChunkCheckpointIsACorruptMiss) {
                                      StreamPolicy::kStrict, nullptr,
                                      {dir.string(), "unit"})
                   .ok());
-  const std::string empty_doc =
-      ArtifactWriter("greater.chunk_checkpoint", 1).Finish();
-  size_t overwritten = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    Spit(entry.path(), empty_doc);
-    ++overwritten;
-  }
-  ASSERT_EQ(overwritten, 4u);
+  const std::string documents[] = {
+      ArtifactWriter("greater.chunk_checkpoint", 1).Finish(),
+      CraftedChunkDocument(0xFFFFFFFFu, 0),
+      CraftedChunkDocument(0, 0xFFFFFFFFu),
+  };
+  for (size_t d = 0; d < std::size(documents); ++d) {
+    SCOPED_TRACE("document " + std::to_string(d));
+    // Each rerun stores good chunks again, so every round starts over.
+    size_t overwritten = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      Spit(entry.path(), documents[d]);
+      ++overwritten;
+    }
+    ASSERT_EQ(overwritten, 4u);
 
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  const uint64_t hits = metrics.GetCounter("stream.chunk_hits").Value();
-  const uint64_t misses = metrics.GetCounter("stream.chunk_misses").Value();
-  const uint64_t corrupt = metrics.GetCounter("stream.chunk_corrupt").Value();
-  StreamIngestReport report;
-  auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
-                                        StreamPolicy::kStrict, &report,
-                                        {dir.string(), "unit"});
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(*resumed == *reference);
-  const uint64_t hit_delta =
-      metrics.GetCounter("stream.chunk_hits").Value() - hits;
-  const uint64_t miss_delta =
-      metrics.GetCounter("stream.chunk_misses").Value() - misses;
-  const uint64_t corrupt_delta =
-      metrics.GetCounter("stream.chunk_corrupt").Value() - corrupt;
-  EXPECT_EQ(hit_delta + miss_delta, report.chunks);
-  EXPECT_LE(corrupt_delta, miss_delta);
-  EXPECT_EQ(hit_delta, report.chunk_checkpoint_hits);
-  EXPECT_EQ(corrupt_delta, 4u);
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    const uint64_t hits = metrics.GetCounter("stream.chunk_hits").Value();
+    const uint64_t misses =
+        metrics.GetCounter("stream.chunk_misses").Value();
+    const uint64_t corrupt =
+        metrics.GetCounter("stream.chunk_corrupt").Value();
+    StreamIngestReport report;
+    auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
+                                          StreamPolicy::kStrict, &report,
+                                          {dir.string(), "unit"});
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_TRUE(*resumed == *reference);
+    const uint64_t hit_delta =
+        metrics.GetCounter("stream.chunk_hits").Value() - hits;
+    const uint64_t miss_delta =
+        metrics.GetCounter("stream.chunk_misses").Value() - misses;
+    const uint64_t corrupt_delta =
+        metrics.GetCounter("stream.chunk_corrupt").Value() - corrupt;
+    EXPECT_EQ(hit_delta + miss_delta, report.chunks);
+    EXPECT_LE(corrupt_delta, miss_delta);
+    EXPECT_EQ(hit_delta, report.chunk_checkpoint_hits);
+    EXPECT_EQ(corrupt_delta, 4u);
+    EXPECT_EQ(corrupt_delta, report.chunks);
+  }
 }
 
 TEST_F(StreamingTest, CheckpointStoreIsSafeUnderConcurrentStoreAndRestore) {
