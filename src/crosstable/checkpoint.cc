@@ -66,4 +66,9 @@ void StageCheckpointer::Store(const std::string& stage,
   });
 }
 
+void StageCheckpointer::Persist(const std::string& stage,
+                                const CheckpointStore::BuildFn& build) {
+  if (enabled()) store_.Store(StageName(stage), chain_.value(), build);
+}
+
 }  // namespace greater

@@ -74,6 +74,11 @@ class StageCheckpointer {
   void Store(const std::string& stage, const CheckpointStore::BuildFn& build);
   /// Store of an already built document.
   void Store(const std::string& stage, const ArtifactWriter& doc);
+  /// Store for a chain's last stage: builds and persists `stage`'s
+  /// document under the same name and pre-store key as Store, but leaves
+  /// the chain where it was, so a caller that keys nothing after it skips
+  /// hashing the whole document.
+  void Persist(const std::string& stage, const CheckpointStore::BuildFn& build);
 
  private:
   CheckpointStore store_;

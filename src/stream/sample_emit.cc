@@ -37,20 +37,29 @@ Status WriteBlock(std::ofstream* out, const std::string& bytes,
   return Status::OK();
 }
 
-/// One chunk of the emission: its rows, checkpoint name and chained key.
+/// One checkpoint chunk of the emission: its rows, checkpoint name and
+/// chained key, and what its units leave for the committer: the chunk's
+/// rendered CSV and report, restored from the store or decoded, or the
+/// row error a strict policy stops on.
 struct ChunkJob {
   uint64_t index = 0;
   size_t begin = 0;
   size_t end = 0;
   std::string name;
   uint64_t key = 0;
+  size_t num_units = 0;
+  bool replayed = false;
+  Status status;
+  SampleReport report;
+  std::string text;
 };
 
-/// What a decoder leaves for the committer: the chunk's rendered CSV and
-/// report, restored from the store or freshly decoded, or the row error a
-/// strict policy stops on.
-struct ChunkResult {
-  bool replayed = false;
+/// One decode unit: rows [begin, end) of one chunk, decoded and rendered
+/// on one slot into its own CSV text and report.
+struct UnitJob {
+  ChunkJob* chunk = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
   Status status;
   SampleReport report;
   std::string text;
@@ -58,7 +67,7 @@ struct ChunkResult {
 
 /// One worker's private decode state, the serving layer's idiom: an
 /// engine, an optional decode cache, hidden-state capacity from the
-/// model's cache options, and the render buffers it reuses chunk to chunk.
+/// model's cache options, and the render buffers it reuses unit to unit.
 struct EmitDecoder {
   explicit EmitDecoder(const GreatSynthesizer& model)
       : engine(model), builder(model.encoder().schema()) {
@@ -96,11 +105,12 @@ Result<SampleReport> SampleRowsToCsvStreaming(
   Counter& chunks_counter = metrics.GetCounter("stream.emit.chunks");
   Counter& hits_counter = metrics.GetCounter("stream.emit.checkpoint_hits");
   Counter& rows_counter = metrics.GetCounter("stream.emit.rows");
+  Counter& units_counter = metrics.GetCounter("stream.emit.units");
 
   // The chain covers everything that determines a chunk's bytes: the
   // trained model, the draw seed, and every emission option. Any change
   // flips every chunk key, so stale checkpoints can never replay. The
-  // worker count only decides where chunks decode, so it stays out. The
+  // worker count only decides where units decode, so it stays out. The
   // model's part resumes from its memoized fingerprint, which is exactly
   // the chain after mixing its serialized bytes.
   CheckpointStore ckpt = ChunkCheckpointStore(options.checkpoint_dir);
@@ -120,42 +130,59 @@ Result<SampleReport> SampleRowsToCsvStreaming(
 
   // Same base derivation as Sample: `Rng r(seed)` would hand this base to
   // every chunk, and lane i derives its private stream from (base, i) —
-  // neither chunking nor the worker a chunk lands on can shift any row's
-  // draws.
+  // neither chunking, nor splitting chunks into units, nor the worker a
+  // unit lands on can shift any row's draws.
   uint64_t base = 0;
   if (n > 0) {
     Rng seed_rng(seed);
     base = GreatSynthesizer::DeriveSampleBase(&seed_rng);
   }
 
-  // Chunks are numbered, and their keys chained, strictly in order.
+  // The worker count W is the only input to the unit rule. With at least
+  // W chunks each chunk is one unit; with fewer, each chunk splits into
+  // ceil(W / chunks) near-equal units (never more than its rows), so one
+  // big chunk still decodes on every slot. Units never cross a chunk.
   const size_t num_chunks = n / chunk_rows + (n % chunk_rows != 0 ? 1 : 0);
+  const size_t requested = std::max<size_t>(
+      1, options.num_workers != 0 ? options.num_workers
+                                  : std::thread::hardware_concurrency());
+  size_t units_per_chunk = 1;
+  size_t num_units = 0;
+  auto units_in = [&](size_t rows) { return std::min(units_per_chunk, rows); };
+  if (num_chunks > 0) {
+    units_per_chunk = (requested + num_chunks - 1) / num_chunks;
+    num_units = (num_chunks - 1) * units_in(chunk_rows) +
+                units_in(n - (num_chunks - 1) * chunk_rows);
+  }
+  const size_t workers = std::clamp<size_t>(requested, 1,
+                                            std::max<size_t>(1, num_units));
+
+  // Chunks are numbered, and their keys chained, strictly in order, and
+  // each is probed in the store once, on the caller, before its units are
+  // handed out: a hit skips every unit of the chunk. A stored chunk that
+  // does not decode is recomputed.
   uint64_t next_chunk = 0;
-  auto next_job = [&](ChunkJob* job) {
+  auto start_chunk = [&](ChunkJob* job) {
     job->index = next_chunk++;
     job->begin = job->index * chunk_rows;
     job->end = job->begin + std::min(chunk_rows, n - job->begin);
     job->name = ChunkCheckpointName(kEmitLabel, job->index);
-    if (ckpt.enabled()) {
-      ByteWriter descriptor;
-      descriptor.PutU64(job->index);
-      descriptor.PutU64(job->begin);
-      descriptor.PutU64(job->end);
-      chain.Mix(descriptor.bytes());
-      job->key = chain.value();
+    job->num_units = units_in(job->end - job->begin);
+    job->status = Status::OK();
+    job->report = SampleReport();
+    job->text.clear();
+    if (!ckpt.enabled()) {
+      job->replayed = false;
+      return;
     }
-  };
-
-  // Decoder side, safe on any thread: replay the chunk from the store, or
-  // decode and render it with the worker's own state. A stored chunk that
-  // does not decode is recomputed.
-  auto decode_chunk = [&](const ChunkJob& job, EmitDecoder* decoder,
-                          ChunkResult* result) {
-    result->status = Status::OK();
-    result->report = SampleReport();
-    result->text.clear();
-    result->replayed =
-        ckpt.Restore(job.name, job.key, [&](const ArtifactReader& doc) {
+    ByteWriter descriptor;
+    descriptor.PutU64(job->index);
+    descriptor.PutU64(job->begin);
+    descriptor.PutU64(job->end);
+    chain.Mix(descriptor.bytes());
+    job->key = chain.value();
+    job->replayed =
+        ckpt.Restore(job->name, job->key, [&](const ArtifactReader& doc) {
           GREATER_ASSIGN_OR_RETURN(std::string_view csv_bytes,
                                    doc.Chunk("csv"));
           GREATER_ASSIGN_OR_RETURN(std::string_view report_bytes,
@@ -164,18 +191,24 @@ Result<SampleReport> SampleRowsToCsvStreaming(
           SampleReport stored;
           GREATER_RETURN_NOT_OK(ReadSampleReport(&r, &stored));
           GREATER_RETURN_NOT_OK(r.ExpectEnd());
-          result->report = stored;
-          result->text.assign(csv_bytes);
+          job->report = stored;
+          job->text.assign(csv_bytes);
           return Status::OK();
         });
-    if (result->replayed) return;
-    result->status = [&]() -> Status {
+  };
+
+  // Decoder side, safe on any thread: decode and render one unit with the
+  // slot's own state. It reads only the unit's row range.
+  auto decode_unit = [&](UnitJob* unit, EmitDecoder* decoder) {
+    unit->report = SampleReport();
+    unit->text.clear();
+    unit->status = [&]() -> Status {
       decoder->rows.clear();
-      decoder->engine.RunChunk(job.begin, job.end, /*conditions=*/nullptr,
+      decoder->engine.RunChunk(unit->begin, unit->end, /*conditions=*/nullptr,
                                base, decoder->cache.get(), &decoder->decode,
-                               &result->report, span.id(), &decoder->rows);
+                               &unit->report, span.id(), &decoder->rows);
       TableBuilder& builder = decoder->builder;
-      builder.Reserve(job.end - job.begin);
+      builder.Reserve(unit->end - unit->begin);
       for (size_t i = 0; i < decoder->rows.size(); ++i) {
         Result<Row>& row = decoder->rows[i];
         if (row.ok()) {
@@ -187,11 +220,11 @@ Result<SampleReport> SampleRowsToCsvStreaming(
           continue;  // dropped row, accounted as rows_exhausted
         }
         return row.status().WithContext(
-            "sampling row " + std::to_string(job.begin + i + 1) + " of " +
+            "sampling row " + std::to_string(unit->begin + i + 1) + " of " +
             std::to_string(n));
       }
-      GREATER_ASSIGN_OR_RETURN(Table chunk_table, builder.Build());
-      AppendCsvRows(chunk_table, options.delimiter, &result->text);
+      GREATER_ASSIGN_OR_RETURN(Table unit_table, builder.Build());
+      AppendCsvRows(unit_table, options.delimiter, &unit->text);
       return Status::OK();
     }();
   };
@@ -209,70 +242,98 @@ Result<SampleReport> SampleRowsToCsvStreaming(
   AppendCsvHeader(model.encoder().schema(), options.delimiter, &header);
   GREATER_RETURN_NOT_OK(WriteBlock(&out, header, output_path));
 
-  // Committer side, on the calling thread, strictly in chunk order: the
-  // first failing chunk ends the run with the serial run's status and
-  // file prefix, and only committed chunks reach the store.
+  // Committer side, on the calling thread. A unit's text and report join
+  // its chunk in unit order; the first failing unit in row order gives
+  // the chunk's status and the units past it are dropped. Chunks commit
+  // strictly in chunk order: the first failing chunk ends the run with
+  // the serial run's status and file prefix, and only committed chunks
+  // reach the store.
+  auto absorb = [](ChunkJob* chunk, UnitJob* unit) {
+    if (!chunk->status.ok()) return;
+    chunk->status = std::move(unit->status);
+    chunk->report.Merge(unit->report);
+    if (chunk->text.empty()) {
+      chunk->text.swap(unit->text);
+    } else {
+      chunk->text += unit->text;
+    }
+  };
   SampleReport total;
-  auto commit = [&](const ChunkJob& job, const ChunkResult& result) -> Status {
+  auto commit = [&](const ChunkJob& job) -> Status {
     chunks_counter.Increment();
-    if (result.replayed) {
+    if (job.replayed) {
       hits_counter.Increment();
     } else {
       GREATER_FAULT_POINT("stream.emit_chunk");
-      GREATER_RETURN_NOT_OK(result.status);
+      GREATER_RETURN_NOT_OK(job.status);
+      units_counter.Increment(job.num_units);
       ckpt.Store(job.name, job.key, [&](ArtifactWriter* doc) {
-        doc->AddChunk("csv", result.text);
+        doc->AddChunk("csv", job.text);
         ByteWriter w;
-        AppendSampleReport(result.report, &w);
+        AppendSampleReport(job.report, &w);
         doc->AddChunk("report", std::move(w).Take());
         return Status::OK();
       });
     }
-    GREATER_RETURN_NOT_OK(WriteBlock(&out, result.text, output_path));
-    rows_counter.Increment(result.report.rows_emitted);
-    total.Merge(result.report);
+    GREATER_RETURN_NOT_OK(WriteBlock(&out, job.text, output_path));
+    rows_counter.Increment(job.report.rows_emitted);
+    total.Merge(job.report);
     return Status::OK();
   };
 
   // Slot s decodes with decoders[s]. Slot 0 is the calling thread's: its
-  // chunks decode inline just before they commit, so one worker starts no
-  // thread at all. The other slots decode on the pool, one thread each,
-  // so a handed-out chunk starts at once. Chunk c uses slot c % workers,
-  // and chunk c + workers is handed out only once chunk c has committed,
-  // so no two in-flight chunks share a slot and at most `workers` chunks
-  // are held at once.
-  const size_t workers = std::clamp<size_t>(
-      options.num_workers != 0 ? options.num_workers
-                               : std::thread::hardware_concurrency(),
-      1, std::max<size_t>(1, num_chunks));
+  // units decode inline just before they join their chunk, so one worker
+  // starts no thread at all. The other slots decode on the pool, one
+  // thread each, so a handed-out unit starts at once. Unit u uses slot
+  // u % W, and unit u + W is handed out only once unit u has joined its
+  // chunk, so no two in-flight units share a slot, at most W units are in
+  // flight, and the at most W chunks they touch live in chunks[c % W].
   std::vector<std::unique_ptr<EmitDecoder>> decoders;
   for (size_t w = 0; w < workers; ++w) {
     decoders.push_back(std::make_unique<EmitDecoder>(model));
   }
-  std::vector<ChunkJob> jobs(workers);
-  std::vector<ChunkResult> results(workers);
+  std::vector<ChunkJob> chunks(workers);
+  std::vector<UnitJob> units(workers);
   std::vector<std::future<void>> pending(workers);
   // Declared last: an early return joins the pool (letting in-flight
-  // chunks finish, unused) before anything its tasks touch goes away.
+  // units finish, unused) before anything its tasks touch goes away.
   std::optional<ThreadPool> pool;
   if (workers > 1) pool.emplace(workers - 1);
+  ChunkJob* open_chunk = nullptr;  // the chunk the next unit belongs to
+  size_t next_unit_in_chunk = 0;
   auto hand_out = [&](size_t slot) {
-    next_job(&jobs[slot]);
-    if (slot == 0) return;
-    pending[slot] = pool->Submit([&, slot] {
-      decode_chunk(jobs[slot], decoders[slot].get(), &results[slot]);
-    });
-  };
-  for (size_t c = 0; c < std::min(workers, num_chunks); ++c) hand_out(c);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t slot = c % workers;
-    if (slot == 0) {
-      decode_chunk(jobs[0], decoders[0].get(), &results[0]);
-    } else {
-      pending[slot].get();
+    if (open_chunk == nullptr || next_unit_in_chunk == open_chunk->num_units) {
+      open_chunk = &chunks[next_chunk % workers];
+      start_chunk(open_chunk);
+      next_unit_in_chunk = 0;
     }
-    GREATER_RETURN_NOT_OK(commit(jobs[slot], results[slot]));
-    if (c + workers < num_chunks) hand_out(slot);
+    UnitJob& unit = units[slot];
+    const size_t rows = open_chunk->end - open_chunk->begin;
+    unit.chunk = open_chunk;
+    unit.begin = open_chunk->begin +
+                 rows * next_unit_in_chunk / open_chunk->num_units;
+    ++next_unit_in_chunk;
+    unit.end = open_chunk->begin +
+               rows * next_unit_in_chunk / open_chunk->num_units;
+    if (slot == 0 || open_chunk->replayed) return;
+    pending[slot] = pool->Submit(
+        [&, slot] { decode_unit(&units[slot], decoders[slot].get()); });
+  };
+  for (size_t u = 0; u < std::min(workers, num_units); ++u) hand_out(u);
+  for (size_t u = 0; u < num_units; ++u) {
+    const size_t slot = u % workers;
+    UnitJob& unit = units[slot];
+    ChunkJob& chunk = *unit.chunk;
+    if (!chunk.replayed) {
+      if (slot == 0) {
+        decode_unit(&unit, decoders[0].get());
+      } else {
+        pending[slot].get();
+      }
+      absorb(&chunk, &unit);
+    }
+    if (unit.end == chunk.end) GREATER_RETURN_NOT_OK(commit(chunk));
+    if (u + workers < num_units) hand_out(slot);
   }
 
   out.close();

@@ -53,7 +53,10 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
     Rng fit_rng(options.fit_seed);
     GREATER_RETURN_NOT_OK(
         model.FitStreaming(fit_stage.ChunkSource(), &fit_rng));
-    stage.Store("oocore.model", [&](ArtifactWriter* doc) -> Status {
+    // Emission keys on the model's own fingerprint, not on the stage
+    // chain, so nothing reads the chain past the model: persist it
+    // without mixing the ~6 MB document in.
+    stage.Persist("oocore.model", [&](ArtifactWriter* doc) -> Status {
       GREATER_ASSIGN_OR_RETURN(std::string bytes, model.SerializeBinary());
       doc->AddChunk("model", std::move(bytes));
       return Status::OK();

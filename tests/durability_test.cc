@@ -19,6 +19,7 @@
 #include "common/artifact_io.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "crosstable/checkpoint.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
 #include "lm/ngram_lm.h"
@@ -964,6 +965,31 @@ TEST_F(DurabilityTest, RunFromCsvStreamingCheckpointFilesArePinned) {
           {"chunk.oocore.fit.3.bc0c5e4e4ec9e6e5.ckpt", 0xb5a29f98be94606cull},
           {"stage.oocore.model.24e90cd3645cdeaf.ckpt", 0x70e5df14de96c3f8ull},
       });
+}
+
+TEST_F(DurabilityTest, StagePersistWritesStoresFileWithoutAdvancingChain) {
+  // Persist is Store for a chain's last stage: the same file name and
+  // bytes, counted the same, but the chain stays at the pre-store key.
+  fs::path dir = ScratchDir("stage_persist");
+  auto build = [](ArtifactWriter* doc) {
+    doc->AddChunk("model", "payload bytes");
+    return Status::OK();
+  };
+  Counter& stores = MetricsRegistry::Global().GetCounter("ckpt.stage_stores");
+  StageCheckpointer stored((dir / "store").string());
+  StageCheckpointer persisted((dir / "persist").string());
+  stored.Mix("options");
+  persisted.Mix("options");
+  const uint64_t key = persisted.chain();
+  const uint64_t stores_before = stores.Value();
+  stored.Store("model", build);
+  persisted.Persist("model", build);
+  EXPECT_EQ(stores.Value() - stores_before, 2u);
+  EXPECT_NE(stored.chain(), key);
+  EXPECT_EQ(persisted.chain(), key);
+  const fs::path file = fs::path(persisted.StagePath("model")).filename();
+  ASSERT_TRUE(fs::exists(dir / "store" / file));
+  EXPECT_EQ(Slurp(dir / "persist" / file), Slurp(dir / "store" / file));
 }
 
 }  // namespace

@@ -463,6 +463,16 @@ TEST_F(OocoreTest, EmissionResumesAfterInjectedCrashAtAnyWorkerCount) {
   }
 }
 
+// Sorted file names under `dir`.
+std::vector<std::string> FileNames(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 // One emission's observable outcome: status, file bytes, report and the
 // stream.emit.* counter deltas.
 struct EmitOutcome {
@@ -472,6 +482,7 @@ struct EmitOutcome {
   uint64_t chunks = 0;
   uint64_t rows = 0;
   uint64_t hits = 0;
+  uint64_t units = 0;  ///< decoded units; varies with the worker count
 };
 
 EmitOutcome EmitWith(const GreatSynthesizer& model, size_t n,
@@ -480,9 +491,11 @@ EmitOutcome EmitWith(const GreatSynthesizer& model, size_t n,
   Counter& chunks = metrics.GetCounter("stream.emit.chunks");
   Counter& rows = metrics.GetCounter("stream.emit.rows");
   Counter& hits = metrics.GetCounter("stream.emit.checkpoint_hits");
+  Counter& units = metrics.GetCounter("stream.emit.units");
   const uint64_t chunks_before = chunks.Value();
   const uint64_t rows_before = rows.Value();
   const uint64_t hits_before = hits.Value();
+  const uint64_t units_before = units.Value();
   Result<SampleReport> report =
       SampleRowsToCsvStreaming(model, n, 23, out.string(), emit);
   EmitOutcome outcome;
@@ -496,6 +509,7 @@ EmitOutcome EmitWith(const GreatSynthesizer& model, size_t n,
   outcome.chunks = chunks.Value() - chunks_before;
   outcome.rows = rows.Value() - rows_before;
   outcome.hits = hits.Value() - hits_before;
+  outcome.units = units.Value() - units_before;
   return outcome;
 }
 
@@ -577,6 +591,95 @@ TEST_F(OocoreTest, EmissionIsInvariantToWorkerCount) {
   EXPECT_EQ(replayed.chunks, 6u);
 }
 
+TEST_F(OocoreTest, OneChunkSplitAcrossWorkersMatchesOneWorker) {
+  // Fewer chunks than workers: the one chunk splits into near-equal decode
+  // units, one per slot (three workers give uneven units), yet it stays
+  // one checkpoint chunk with the one-worker status, bytes and report.
+  GreatSynthesizer::Options options;
+  options.ngram.order = 2;
+  options.constrain_values_to_column = false;
+  options.max_attempts_per_row = 3;
+  options.fallback_to_constrained = false;
+  GreatSynthesizer model(options);
+  Rng fit_rng(17);
+  ASSERT_TRUE(model.Fit(TrainTable(60), &fit_rng).ok());
+
+  fs::path dir = ScratchDir("oocore_emit_units");
+  bool lenient_dropped = false;
+  bool strict_failed = false;
+  for (SamplePolicy policy : {SamplePolicy::kLenient, SamplePolicy::kStrict}) {
+    for (size_t n : {1u, 41u, 1000u}) {
+      const std::string tag = std::string(SamplePolicyToString(policy)) +
+                              " n=" + std::to_string(n);
+      SampleEmitOptions emit;
+      emit.chunk_rows = 1024;
+      emit.policy = policy;
+      emit.use_model_policy = false;
+      EmitOutcome serial;
+      std::vector<std::string> serial_files;
+      for (size_t workers : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(tag + " num_workers=" + std::to_string(workers));
+        const fs::path ckpt = dir / ("ckpt_" + std::to_string(workers));
+        fs::remove_all(ckpt);
+        emit.num_workers = workers;
+        emit.checkpoint_dir = ckpt.string();
+        const EmitOutcome got = EmitWith(model, n, emit, dir / "out.csv");
+        const std::vector<std::string> files =
+            fs::exists(ckpt) ? FileNames(ckpt) : std::vector<std::string>();
+        EXPECT_EQ(got.hits, 0u);
+        if (got.status == "OK") {
+          EXPECT_EQ(got.chunks, 1u);
+          EXPECT_EQ(got.units, std::min(workers, n));
+          EXPECT_EQ(files.size(), 1u);
+        } else {
+          EXPECT_EQ(got.units, 0u);
+          EXPECT_TRUE(files.empty());
+        }
+        if (workers == 1) {
+          serial = got;
+          serial_files = files;
+          if (policy == SamplePolicy::kLenient) {
+            ASSERT_EQ(serial.status, "OK");
+            lenient_dropped |= serial.rows < n;
+          } else {
+            strict_failed |= serial.status != "OK";
+          }
+          continue;
+        }
+        ExpectSameOutcome(serial, got);
+        EXPECT_EQ(files, serial_files);
+      }
+    }
+  }
+  EXPECT_TRUE(lenient_dropped);
+  EXPECT_TRUE(strict_failed);
+
+  // A store written by one worker replays the whole chunk into a
+  // four-worker run: one hit, no unit decoded, no lane started.
+  SampleEmitOptions emit;
+  emit.chunk_rows = 1024;
+  emit.num_workers = 1;
+  emit.policy = SamplePolicy::kLenient;
+  emit.use_model_policy = false;
+  emit.checkpoint_dir = (dir / "ckpt_replay").string();
+  fs::remove_all(emit.checkpoint_dir);
+  const EmitOutcome stored = EmitWith(model, 1000, emit, dir / "stored.csv");
+  ASSERT_EQ(stored.status, "OK");
+  EXPECT_EQ(stored.units, 1u);
+  Counter& lanes = MetricsRegistry::Global().GetCounter("synth.batch.lanes");
+  const uint64_t lanes_before = lanes.Value();
+  emit.num_workers = 4;
+  const EmitOutcome replayed =
+      EmitWith(model, 1000, emit, dir / "replayed.csv");
+  EXPECT_EQ(replayed.status, "OK");
+  EXPECT_EQ(replayed.bytes, stored.bytes);
+  EXPECT_EQ(replayed.report, stored.report);
+  EXPECT_EQ(replayed.chunks, 1u);
+  EXPECT_EQ(replayed.hits, 1u);
+  EXPECT_EQ(replayed.units, 0u);
+  EXPECT_EQ(lanes.Value(), lanes_before);
+}
+
 TEST_F(OocoreTest, UndecodableEmissionChunkIsACorruptMiss) {
   // Emission chunk files that parse as chunk documents but hold no csv or
   // report payload must be recomputed, and counted as corrupt misses,
@@ -631,16 +734,6 @@ TEST_F(OocoreTest, UndecodableEmissionChunkIsACorruptMiss) {
 }
 
 // ---------- the content-fingerprint memo keys emission ------------------
-
-// Sorted file names under `dir`.
-std::vector<std::string> FileNames(const fs::path& dir) {
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
 
 TEST_F(OocoreTest, FingerprintMemoKeysEmissionLikeAFreshSerialization) {
   // Emission resumes its key chain from the model's memoized fingerprint.
