@@ -1,32 +1,18 @@
-// Engineering microbenchmarks (google-benchmark): throughput of the
-// substrate operations the figure harnesses lean on. Not a paper figure —
-// these guard against performance regressions in the hot paths.
+// Engineering microbenchmarks (google-benchmark): single-thread throughput
+// of the kernels the figure harnesses lean on. Not a paper figure and not
+// a gate — bench/e2e is the performance gate; these locate a hot path.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "crosstable/flatten.h"
-#include "crosstable/independence.h"
-#include "crosstable/pipeline.h"
-#include "crosstable/reduce.h"
 #include "datagen/digix.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
-#include "serve/synthesis_server.h"
-#include "serve/workload.h"
 #include "lm/neural_lm.h"
 #include "lm/ngram_lm.h"
 #include "stats/correlation.h"
 #include "stats/hypothesis.h"
-#include "stream/csv_ingest.h"
-#include "stream/fit_stage.h"
-#include "stream/sample_emit.h"
-#include "tabular/csv.h"
 #include "tabular/table_builder.h"
 #include "synth/great_synthesizer.h"
 #include "text/bpe_tokenizer.h"
@@ -241,7 +227,7 @@ Table CategoricalTable() {
 
 // Decode-cache configurations, serial sampling: Arg(0) = cache off
 // (reference), Arg(1) = cache on (bitwise-identical output). rows/sec
-// lands in items_per_second for scripts/bench_compare.py.
+// lands in items_per_second.
 void BM_SampleRows_Cached(benchmark::State& state) {
   Table train = CategoricalTable();
   GreatSynthesizer::Options options;
@@ -300,10 +286,9 @@ BENCHMARK(BM_SampleRowsNeural_Cached)
 // work does, so the cached configurations are cost-equivalent at every
 // batch size (BM_SampleRows_Cached covers them) — the batched engine's
 // win is exactly the regime the cache cannot memoize. Arg(1), one-row
-// chunks, is the baseline the bench_compare.py --fail-batch-speedup-below
-// gate divides by, and the synth.batch.model_evals_saved counter proves
-// the win comes from grouped evaluation. rows/sec lands in
-// items_per_second.
+// chunks, is the baseline the larger batches compare against, and the
+// synth.batch.model_evals_saved counter proves the win comes from grouped
+// evaluation. rows/sec lands in items_per_second.
 void BM_SampleRowsBatched(benchmark::State& state) {
   Table train = CategoricalTable();
   GreatSynthesizer::Options options;
@@ -423,38 +408,6 @@ void BM_DirectFlatten(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectFlatten);
 
-void BM_StreamingFlatten(benchmark::State& state) {
-  DigixDataset trial = MakeTrial();
-  StreamOptions options;
-  options.enabled = true;
-  options.chunk_rows = 64;
-  options.queue_capacity = 4;
-  options.num_workers = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        DirectFlattenStreaming(trial.ads, trial.feeds, "user_id", options));
-  }
-}
-BENCHMARK(BM_StreamingFlatten)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_StreamingCsvIngest(benchmark::State& state) {
-  DigixDataset trial = MakeTrial();
-  std::string csv = WriteCsvString(trial.ads);
-  StreamOptions options;
-  options.enabled = true;
-  options.chunk_rows = 64;
-  options.queue_capacity = 4;
-  options.io_block_bytes = size_t{1} << 14;
-  options.num_workers = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ReadCsvStringStreaming(
-        csv, CsvReadOptions(), options, StreamPolicy::kStrict));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(csv.size()));
-}
-BENCHMARK(BM_StreamingCsvIngest)->Arg(1)->Arg(2);
-
 void BM_AssociationMatrix(benchmark::State& state) {
   DigixDataset trial = MakeTrial();
   Table flat = DirectFlatten(trial.ads, trial.feeds, "user_id").ValueOrDie();
@@ -475,43 +428,6 @@ void BM_UniqueRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniqueRows);
-
-// Full pipeline run with the observability spans turned into benchmark
-// user counters: each stage's mean wall time lands in the JSON output as a
-// stage_<name>_us key, which scripts/bench_compare.py diffs between runs.
-void BM_PipelineStages(benchmark::State& state) {
-  DigixOptions data_options;
-  data_options.num_users = 32;
-  DigixGenerator gen(data_options);
-  Rng data_rng(77);
-  DigixDataset trial = gen.Generate(&data_rng).ValueOrDie();
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  MultiTablePipeline pipeline;
-  uint64_t iterations = 0;
-  for (auto _ : state) {
-    Rng rng(1);
-    auto result =
-        pipeline.Run(trial.ads, trial.feeds, DigixGenerator::KeyColumn(),
-                     &rng);
-    if (!result.ok()) {
-      state.SkipWithError("pipeline run failed");
-      break;
-    }
-    ++iterations;
-  }
-  if (iterations == 0) return;
-  MetricsSnapshot snapshot = registry.Snapshot();
-  for (const auto& [name, agg] : AggregateSpans(snapshot.spans)) {
-    if (name.rfind("stage.", 0) != 0) continue;
-    state.counters["stage_" + name.substr(6) + "_us"] = benchmark::Counter(
-        static_cast<double>(agg.total_ns) / 1000.0 /
-        static_cast<double>(iterations));
-  }
-}
-BENCHMARK(BM_PipelineStages)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 // ---------- durability ----------
 
@@ -549,294 +465,6 @@ void BM_SynthesizerSaveLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizerSaveLoad)->Unit(benchmark::kMillisecond);
 
-PipelineOptions ResumeBenchOptions(const std::string& dir) {
-  PipelineOptions options;
-  options.synth.encoder.permutations_per_row = 2;
-  options.checkpoint_dir = dir;
-  return options;
-}
-
-// Cold: every iteration wipes the checkpoint directory, so the pipeline
-// recomputes every stage (plus pays the four checkpoint stores).
-void BM_PipelineResumeCold(benchmark::State& state) {
-  DigixOptions data_options;
-  data_options.num_users = 32;
-  DigixGenerator gen(data_options);
-  Rng data_rng(77);
-  DigixDataset trial = gen.Generate(&data_rng).ValueOrDie();
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "greater_bench_resume";
-  MultiTablePipeline pipeline(ResumeBenchOptions(dir.string()));
-  for (auto _ : state) {
-    std::filesystem::remove_all(dir);
-    Rng rng(1);
-    auto result = pipeline.Run(trial.ads, trial.feeds,
-                               DigixGenerator::KeyColumn(), &rng);
-    if (!result.ok()) {
-      state.SkipWithError("pipeline run failed");
-      break;
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_PipelineResumeCold)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Warm: checkpoints seeded once outside the timed region, so every
-// iteration resumes all four stages from disk. The cold/warm real-time
-// ratio is the resume speedup scripts/bench_compare.py gates with
-// --fail-resume-speedup-below.
-void BM_PipelineResumeWarm(benchmark::State& state) {
-  DigixOptions data_options;
-  data_options.num_users = 32;
-  DigixGenerator gen(data_options);
-  Rng data_rng(77);
-  DigixDataset trial = gen.Generate(&data_rng).ValueOrDie();
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "greater_bench_resume";
-  std::filesystem::remove_all(dir);
-  MultiTablePipeline pipeline(ResumeBenchOptions(dir.string()));
-  {
-    Rng rng(1);
-    if (!pipeline
-             .Run(trial.ads, trial.feeds, DigixGenerator::KeyColumn(), &rng)
-             .ok()) {
-      state.SkipWithError("seeding run failed");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    Rng rng(1);
-    auto result = pipeline.Run(trial.ads, trial.feeds,
-                               DigixGenerator::KeyColumn(), &rng);
-    if (!result.ok()) {
-      state.SkipWithError("pipeline run failed");
-      break;
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_PipelineResumeWarm)->Unit(benchmark::kMillisecond);
-
-// Multi-tenant serving under a skewed request mix: four categorical-table
-// tenants behind a SynthesisServer, driven by a Zipfian workload (hot
-// tenant ~48% of requests). Each iteration submits a wave of requests and
-// waits them all; rows/sec lands in items_per_second and the serve.*
-// latency histogram lands in GREATER_METRICS_OUT for the
-// scripts/bench_compare.py latency/throughput gates.
-void BM_ServeZipfian(benchmark::State& state) {
-  std::vector<std::shared_ptr<const GreatSynthesizer>> models;
-  std::vector<TenantProfile> profiles;
-  for (int i = 0; i < 4; ++i) {
-    auto model = std::make_shared<GreatSynthesizer>();
-    Rng fit(50 + i);
-    if (!model->Fit(CategoricalTable(), &fit).ok()) {
-      state.SkipWithError("tenant fit failed");
-      return;
-    }
-    models.push_back(std::move(model));
-    profiles.push_back(TenantProfile{
-        "tenant" + std::to_string(i),
-        "residence",
-        {"Chicago", "Boston", "Austin", "Denver", "Seattle"}});
-  }
-
-  ServeOptions options;
-  options.num_workers = static_cast<size_t>(state.range(0));
-  options.max_lanes_per_batch = 32;
-  SynthesisServer server(options);
-  for (size_t i = 0; i < models.size(); ++i) {
-    if (!server.AddTenant(profiles[i].name, models[i]).ok()) {
-      state.SkipWithError("tenant registration failed");
-      return;
-    }
-  }
-  if (!server.Start().ok()) {
-    state.SkipWithError("server start failed");
-    return;
-  }
-
-  WorkloadOptions wl;
-  wl.tenant_skew.kind = SkewKind::kZipfian;
-  wl.value_skew.kind = SkewKind::kScrambledZipfian;
-  wl.conditioned_fraction = 0.3;
-  wl.min_rows = 1;
-  wl.max_rows = 8;
-  WorkloadGenerator gen(wl, profiles, /*seed=*/2026);
-
-  size_t rows = 0;
-  for (auto _ : state) {
-    std::vector<std::shared_ptr<RequestTicket>> wave;
-    for (int i = 0; i < 16; ++i) wave.push_back(server.Submit(gen.Next()));
-    for (auto& ticket : wave) {
-      const auto& result = ticket->Wait();
-      if (!result.ok()) {
-        state.SkipWithError("request failed");
-        return;
-      }
-      rows += result.ValueOrDie().num_rows();
-    }
-  }
-  if (!server.Shutdown().ok()) state.SkipWithError("shutdown failed");
-  state.SetItemsProcessed(static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_ServeZipfian)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-// Overload control: the same server deliberately driven past capacity
-// with a mixed-priority workload (half background, a fifth batch) through
-// a tiny bounded-wait admission queue. Background work is expected to
-// shed typed; interactive work is expected to complete and stay fast.
-// items_per_second counts only rows that completed. The serve.shed /
-// serve.admitted counters and the serve.interactive_latency_us histogram
-// land in GREATER_METRICS_OUT, where scripts/bench_compare.py gates them
-// with --fail-shed-rate-above and --fail-high-pri-p99-above.
-void BM_ServeOverload(benchmark::State& state) {
-  std::vector<std::shared_ptr<const GreatSynthesizer>> models;
-  std::vector<TenantProfile> profiles;
-  for (int i = 0; i < 2; ++i) {
-    auto model = std::make_shared<GreatSynthesizer>();
-    Rng fit(70 + i);
-    if (!model->Fit(CategoricalTable(), &fit).ok()) {
-      state.SkipWithError("tenant fit failed");
-      return;
-    }
-    models.push_back(std::move(model));
-    profiles.push_back(TenantProfile{
-        "tenant" + std::to_string(i),
-        "residence",
-        {"Chicago", "Boston", "Austin", "Denver", "Seattle"}});
-  }
-
-  ServeOptions options;
-  options.num_workers = static_cast<size_t>(state.range(0));
-  options.max_lanes_per_batch = 16;
-  options.admission_capacity = 4;
-  options.admission_wait_ms = 1;  // bounded-wait admission: sheds when full
-  options.shed_queue_depth = 8;
-  SynthesisServer server(options);
-  for (size_t i = 0; i < models.size(); ++i) {
-    if (!server.AddTenant(profiles[i].name, models[i]).ok()) {
-      state.SkipWithError("tenant registration failed");
-      return;
-    }
-  }
-  if (!server.Start().ok()) {
-    state.SkipWithError("server start failed");
-    return;
-  }
-
-  WorkloadOptions wl;
-  wl.tenant_skew.kind = SkewKind::kUniform;
-  wl.conditioned_fraction = 0.2;
-  wl.min_rows = 1;
-  wl.max_rows = 8;
-  wl.batch_fraction = 0.2;
-  wl.background_fraction = 0.5;
-  WorkloadGenerator gen(wl, profiles, /*seed=*/4071);
-
-  size_t rows = 0;
-  for (auto _ : state) {
-    std::vector<std::shared_ptr<RequestTicket>> wave;
-    for (int i = 0; i < 32; ++i) wave.push_back(server.Submit(gen.Next()));
-    for (auto& ticket : wave) {
-      const auto& result = ticket->Wait();
-      if (result.ok()) {
-        rows += result.ValueOrDie().num_rows();
-        continue;
-      }
-      // Typed sheds ARE the overload behavior under test; anything else
-      // is a real failure.
-      if (result.status().code() != StatusCode::kResourceExhausted) {
-        state.SkipWithError("request failed with a non-shed error");
-        return;
-      }
-    }
-  }
-  if (!server.Shutdown().ok()) state.SkipWithError("shutdown failed");
-  state.SetItemsProcessed(static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_ServeOverload)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// ---------- out-of-core fit + emission ----------
-
-// Out-of-core fit over an on-disk CSV: schema pass, then the streaming
-// chunk passes through FitStage into shard-parallel n-gram counting. The
-// arg is num_fit_shards — output is bitwise-identical at every value (the
-// oocore_test suite holds that line); this run tracks the throughput of
-// the counting fan-out. items_per_second counts input rows fitted, the
-// number scripts/bench_compare.py gates with --fail-fit-rows-below.
-void BM_StreamingFit(benchmark::State& state) {
-  DigixDataset trial = MakeTrial();
-  std::filesystem::path csv_path =
-      std::filesystem::temp_directory_path() / "greater_bench_fit.csv";
-  {
-    std::ofstream out(csv_path, std::ios::binary | std::ios::trunc);
-    out << WriteCsvString(trial.ads);
-  }
-  FitStage::Options stage_options;
-  stage_options.stream.enabled = true;
-  stage_options.stream.chunk_rows = 64;
-  stage_options.stream.queue_capacity = 4;
-  stage_options.stream.num_workers = 1;
-  size_t rows = 0;
-  for (auto _ : state) {
-    auto opened = FitStage::Open(csv_path.string(), stage_options);
-    if (!opened.ok()) {
-      state.SkipWithError("fit stage open failed");
-      break;
-    }
-    FitStage stage = std::move(opened).ValueOrDie();
-    GreatSynthesizer::Options options;
-    options.encoder.permutations_per_row = 2;
-    options.num_fit_shards = static_cast<size_t>(state.range(0));
-    GreatSynthesizer synth(options);
-    Rng rng(1);
-    if (!synth.FitStreaming(stage.ChunkSource(), &rng).ok()) {
-      state.SkipWithError("streaming fit failed");
-      break;
-    }
-    rows += trial.ads.num_rows();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(rows));
-  std::error_code ec;
-  std::filesystem::remove(csv_path, ec);
-}
-BENCHMARK(BM_StreamingFit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Chunked sample emission into an on-disk CSV (batch decode -> columnar
-// build -> incremental render -> flush, one chunk at a time). The arg is
-// chunk_rows; the output bytes are identical at every value, so the run
-// tracks what the chunking itself costs. items_per_second counts rows
-// emitted.
-void BM_StreamingEmit(benchmark::State& state) {
-  Table train = CategoricalTable();
-  GreatSynthesizer synth;
-  Rng rng(1);
-  if (!synth.Fit(train, &rng).ok()) {
-    state.SkipWithError("fit failed");
-    return;
-  }
-  std::filesystem::path out_path =
-      std::filesystem::temp_directory_path() / "greater_bench_emit.csv";
-  SampleEmitOptions emit;
-  emit.chunk_rows = static_cast<size_t>(state.range(0));
-  size_t rows = 0;
-  for (auto _ : state) {
-    auto report =
-        SampleRowsToCsvStreaming(synth, 256, 7, out_path.string(), emit);
-    if (!report.ok()) {
-      state.SkipWithError("emission failed");
-      break;
-    }
-    rows += report.ValueOrDie().rows_emitted;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(rows));
-  std::error_code ec;
-  std::filesystem::remove(out_path, ec);
-}
-BENCHMARK(BM_StreamingEmit)->Arg(32)->Arg(256)->Unit(benchmark::kMillisecond);
-
 void BM_KsTest(benchmark::State& state) {
   Rng rng(5);
   std::vector<double> a, b;
@@ -853,28 +481,4 @@ BENCHMARK(BM_KsTest);
 }  // namespace
 }  // namespace greater
 
-// BENCHMARK_MAIN, plus an observability export: when GREATER_METRICS_OUT
-// names a file, the global metrics snapshot accumulated across every
-// benchmark is written there as one JSON document after the run. The
-// span store is capped low here: the gates read counters and histograms,
-// and per-bundle/per-step spans across thousands of benchmark iterations
-// would otherwise fill the default 65536-record store and bloat the
-// checked-in snapshot (drops land on obs.spans_dropped as usual).
-int main(int argc, char** argv) {
-  greater::MetricsRegistry::Global().set_max_spans(512);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (const char* path = std::getenv("GREATER_METRICS_OUT")) {
-    std::ofstream out(path);
-    out << greater::MetricsRegistry::Global().ToJson(
-               greater::MetricsRegistry::JsonMode::kFull)
-        << "\n";
-    if (!out) {
-      std::fprintf(stderr, "failed to write metrics to '%s'\n", path);
-      return 1;
-    }
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,24 +1,25 @@
-// Durability and recovery walkthrough: train a synthesizer, persist it as
-// a checksummed artifact bundle, reload it in a "fresh process" and show
-// the bitwise-identical sample stream; then run the multi-table pipeline
-// twice against a checkpoint directory to demonstrate stage-level resume,
-// and finally sample through the RecoverySupervisor while faults fire.
+// Durability walkthrough: train a synthesizer, persist it as a checksummed
+// artifact bundle, reload it in a "fresh process" and show the
+// bitwise-identical sample stream; then run the multi-table pipeline twice
+// against a checkpoint directory to demonstrate stage-level resume. Exits
+// non-zero if either result differs from the original, so the
+// `example_durable_synthesis` ctest fails on a mismatch.
 // Pass --batch-rows=N to route every sampling call through the lockstep
-// batched decode engine — all three demonstrations (reload identity,
-// checkpoint resume, supervised recovery) hold unchanged because batched
-// output is bitwise-identical to per-row output.
+// batched decode engine — both demonstrations hold unchanged because
+// batched output is bitwise-identical to per-row output.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string>
 
-#include "common/fault.h"
+#include <unistd.h>
+
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
 #include "obs/metrics.h"
 #include "synth/great_synthesizer.h"
-#include "synth/recovery_supervisor.h"
 #include "tabular/csv.h"
 
 using namespace greater;
@@ -49,8 +50,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Per process, so concurrent runs (e.g. the ctest in two build trees)
+  // do not delete each other's files.
   std::filesystem::path work =
-      std::filesystem::temp_directory_path() / "greater_durable_example";
+      std::filesystem::temp_directory_path() /
+      ("greater_durable_example_" + std::to_string(getpid()));
   std::filesystem::remove_all(work);
   std::filesystem::create_directories(work);
 
@@ -79,9 +83,9 @@ int main(int argc, char** argv) {
   Rng rng_a(99), rng_b(99);
   Table from_memory = synth.Sample(8, &rng_a).ValueOrDie();
   Table from_disk = restored.Sample(8, &rng_b).ValueOrDie();
+  const bool reload_identical = from_memory == from_disk;
   std::printf("same seed, in-memory vs. reloaded: %s\n\n",
-              from_memory == from_disk ? "bitwise identical"
-                                       : "MISMATCH (bug!)");
+              reload_identical ? "bitwise identical" : "MISMATCH (bug!)");
 
   // ---- 2. Stage-level pipeline resume ----------------------------------
   std::printf("== pipeline checkpointing ==\n");
@@ -104,40 +108,13 @@ int main(int argc, char** argv) {
   Rng run2_rng(1);
   PipelineResult warm =
       pipeline.Run(data.ads, data.feeds, "user_id", &run2_rng).ValueOrDie();
-  std::printf("warm run: %ju stage hits, output %s\n\n",
+  const bool resume_identical = cold.synthetic_flat == warm.synthetic_flat;
+  std::printf("warm run: %ju stage hits, output %s\n",
               static_cast<uintmax_t>(CounterValue("ckpt.stage_hits") -
                                      hits_before),
-              cold.synthetic_flat == warm.synthetic_flat
-                  ? "byte-identical to cold run"
-                  : "MISMATCH (bug!)");
-
-  // ---- 3. Supervised sampling under injected faults --------------------
-  std::printf("== recovery supervisor ==\n");
-  RecoveryOptions recovery;
-  recovery.max_retries = 2;
-  recovery.backoff_initial_ms = 1;  // keep the demo snappy
-  RecoverySupervisor supervisor(&synth, recovery);
-
-  // A transient fault: the first sampled row fails once, then the point
-  // goes quiet. The supervisor retries and the call still succeeds.
-  FaultSpec transient;
-  transient.code = StatusCode::kResourceExhausted;
-  transient.message = "simulated transient sampling failure";
-  transient.max_fires = 1;
-  {
-    ScopedFault fault("synth.sample_row", transient);
-    Rng rng(5);
-    SampleReport report;
-    Table out = supervisor.Sample(8, &rng, &report).ValueOrDie();
-    std::printf("transient fault: recovered after retry, %zu/%zu rows, "
-                "report %s\n",
-                out.num_rows(), report.rows_requested,
-                report.Reconciles() ? "reconciles" : "does not reconcile");
-  }
-  std::printf("recovery.retries=%ju recovery.recovered=%ju\n",
-              static_cast<uintmax_t>(CounterValue("recovery.retries")),
-              static_cast<uintmax_t>(CounterValue("recovery.recovered")));
+              resume_identical ? "byte-identical to cold run"
+                               : "MISMATCH (bug!)");
 
   std::filesystem::remove_all(work);
-  return 0;
+  return reload_identical && resume_identical ? 0 : 1;
 }

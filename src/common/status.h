@@ -82,8 +82,7 @@ class Status {
   /// how long the caller should back off before resubmitting. Attached by
   /// admission-control rejections (per-tenant quota, load shedding) so
   /// clients can pace themselves instead of hammering an overloaded
-  /// server; honored by RecoverySupervisor in place of its own backoff
-  /// schedule. OK statuses pass through unchanged. The hint survives
+  /// server. OK statuses pass through unchanged. The hint survives
   /// WithContext (provenance frames copy the whole payload).
   Status WithRetryAfter(uint64_t retry_after_ms) const;
 

@@ -27,8 +27,7 @@ struct QuarantinedRecord {
 /// line per record — `source,record_number,code,message,raw` — to
 /// `path`, or only counts when `path` is empty. Thread-safe; every
 /// record increments the `stream.quarantined_records` counter, which the
-/// ingest reconciliation (`rows_in == rows_out + quarantined`) and the
-/// bench_compare `--fail-quarantine-above` gate both read.
+/// ingest reconciliation (`rows_in == rows_out + quarantined`) reads.
 class QuarantineWriter {
  public:
   /// Truncates any existing file at `path` (a rerun's quarantine reflects

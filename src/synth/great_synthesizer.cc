@@ -475,21 +475,14 @@ Result<Table> GreatSynthesizer::SampleMany(size_t n, const Table* conditions,
 
 Result<Table> GreatSynthesizer::Sample(size_t n, Rng* rng,
                                        SampleReport* report) const {
-  return SampleWithPolicy(n, options_.policy, rng, report);
-}
-
-Result<Table> GreatSynthesizer::SampleWithPolicy(size_t n,
-                                                 SamplePolicy policy,
-                                                 Rng* rng,
-                                                 SampleReport* report) const {
   if (!fitted()) {
     return Status::FailedPrecondition("Sample before Fit");
   }
   if (options_.num_threads > 1 && n > 1) {
     ThreadPool pool(options_.num_threads);
-    return SampleMany(n, nullptr, rng, &pool, report, policy);
+    return SampleMany(n, nullptr, rng, &pool, report, options_.policy);
   }
-  return SampleMany(n, nullptr, rng, nullptr, report, policy);
+  return SampleMany(n, nullptr, rng, nullptr, report, options_.policy);
 }
 
 Result<Table> GreatSynthesizer::SampleRows(size_t n, Rng* rng,
@@ -504,22 +497,15 @@ Result<Table> GreatSynthesizer::SampleRows(size_t n, Rng* rng,
 Result<Table> GreatSynthesizer::SampleConditional(const Table& conditions,
                                                   Rng* rng,
                                                   SampleReport* report) const {
-  return SampleConditionalWithPolicy(conditions, options_.policy, rng,
-                                     report);
-}
-
-Result<Table> GreatSynthesizer::SampleConditionalWithPolicy(
-    const Table& conditions, SamplePolicy policy, Rng* rng,
-    SampleReport* report) const {
   if (!fitted()) {
     return Status::FailedPrecondition("SampleConditional before Fit");
   }
   size_t n = conditions.num_rows();
   if (options_.num_threads > 1 && n > 1) {
     ThreadPool pool(options_.num_threads);
-    return SampleMany(n, &conditions, rng, &pool, report, policy);
+    return SampleMany(n, &conditions, rng, &pool, report, options_.policy);
   }
-  return SampleMany(n, &conditions, rng, nullptr, report, policy);
+  return SampleMany(n, &conditions, rng, nullptr, report, options_.policy);
 }
 
 namespace {

@@ -146,13 +146,6 @@ class GreatSynthesizer {
   Result<Table> Sample(size_t n, Rng* rng,
                        SampleReport* report = nullptr) const;
 
-  /// Sample with an explicit degradation policy overriding
-  /// options().policy — the recovery supervisor's circuit-open path uses
-  /// this to fall back to lenient sampling without reconfiguring the
-  /// synthesizer. Otherwise identical to Sample.
-  Result<Table> SampleWithPolicy(size_t n, SamplePolicy policy, Rng* rng,
-                                 SampleReport* report = nullptr) const;
-
   /// Samples one row per row of `conditions`, forcing the condition
   /// columns (a subset of the training schema) to the given values and
   /// letting the model generate the rest — conditional generation via
@@ -161,12 +154,6 @@ class GreatSynthesizer {
   /// condition rows whose generation exhausts the attempt budget.
   Result<Table> SampleConditional(const Table& conditions, Rng* rng,
                                   SampleReport* report = nullptr) const;
-
-  /// SampleConditional with an explicit policy override (see
-  /// SampleWithPolicy).
-  Result<Table> SampleConditionalWithPolicy(
-      const Table& conditions, SamplePolicy policy, Rng* rng,
-      SampleReport* report = nullptr) const;
 
   /// Samples a single row, optionally with forced column values. A chunk
   /// of one through the decode engine: the result equals row 0 of
@@ -283,8 +270,7 @@ class GreatSynthesizer {
   /// -> unconditional; row i otherwise forces conditions row i. Rows are
   /// decoded in lockstep chunks of batch_rows, serially unless `pool` has
   /// > 1 worker and n > 1. `policy` is the effective degradation policy
-  /// for this call (usually options_.policy; the supervisor may
-  /// override).
+  /// for this call (options_.policy, or strict for SampleRow).
   Result<Table> SampleMany(size_t n, const Table* conditions, Rng* rng,
                            ThreadPool* pool, SampleReport* report,
                            SamplePolicy policy) const;
